@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterable
 
 
@@ -46,7 +47,7 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclotomicInt:
     """An element of Z[w], w = exp(2 pi i / s), reduced mod the s-th cyclotomic polynomial."""
 
@@ -199,44 +200,30 @@ def default_p_max(t: float) -> int:
     return math.ceil(10 + 5 * t)
 
 
-def _poisson_cdf(lam: float, p_max: int) -> float:
-    term = math.exp(-lam)
-    total = term
-    for p in range(1, p_max + 1):
-        term *= lam / p
-        total += term
-    return total
-
-
 def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     """The modified Bessel law: law of sum(w^k a_k) for independent Poisson(t/s) a_k.
 
-    Truncated at p_max per factor; the deficit is the exact product-Poisson
-    tail mass.  Atoms are merged exactly in Z[w].
+    The s-fold convolution of the laws of p w^k, p <= p_max, merged exactly
+    in Z[w] after each factor; the deficit is the exact product-Poisson tail
+    mass.  The default p_max = ceil(10 + 5t) bounds only that deficit, not the
+    Fourier tail at |z| > 1 (s = 1, t = 1.34: fourier(m, 1.2) is off by 2.5e-5
+    while the deficit is 8e-15); pass a larger p_max there.
     """
     if p_max is None:
         p_max = default_p_max(t)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     lam = t / s
-    log_fact = [0.0]
+    pmf = [math.exp(-lam)]  # Poisson(lam) weights at p = 0..p_max
     for p in range(1, p_max + 1):
-        log_fact.append(log_fact[-1] + math.log(p))
-    atoms: dict[CyclotomicInt, float] = {}
-
-    def rec(k: int, atom: CyclotomicInt, log_w: float) -> None:
-        if k > s:
-            atoms[atom] = atoms.get(atom, 0.0) + math.exp(log_w)
-            return
-        wk = CyclotomicInt.root_power(s, k)
-        for p in range(p_max + 1):
-            contrib = p * math.log(lam) - log_fact[p] if p else 0.0
-            shift = CyclotomicInt.from_coeffs(s, [p * c for c in wk.coeffs])
-            rec(k + 1, atom + shift, log_w + contrib)
-
-    rec(1, CyclotomicInt.zero(s), -t)
-    deficit = 1.0 - _poisson_cdf(lam, p_max) ** s
-    return DiscreteMeasure(s, atoms, max(deficit, 0.0))
+        pmf.append(pmf[-1] * (lam / p))
+    law = dirac(s, 0)
+    for k in range(1, s + 1):
+        factor = {CyclotomicInt.from_coeffs(s, [0] * (k % s) + [p]): w
+                  for p, w in enumerate(pmf)}
+        law = convolve(law, DiscreteMeasure(s, factor))
+    deficit = 1.0 - sum(pmf) ** s
+    return DiscreteMeasure(s, law.atoms, max(deficit, 0.0))
 
 
 def power_pushforward(m: DiscreteMeasure, s: int) -> DiscreteMeasure:
@@ -282,22 +269,20 @@ def convolve(
     """
     if m1.s != m2.s:
         raise ValueError("mixed cyclotomic orders")
-    atoms: dict[CyclotomicInt, float] = {}
+    # Sums of reduced coefficient vectors are reduced, so the integer tuples
+    # are exact keys; each merged atom is wrapped once at the end.
+    items2 = [(a.coeffs, w) for a, w in m2.atoms.items()]
+    sums: dict[tuple[int, ...], float] = {}
     for a1, w1 in m1.atoms.items():
-        for a2, w2 in m2.atoms.items():
-            key = a1 + a2
-            atoms[key] = atoms.get(key, 0.0) + w1 * w2
+        c1 = a1.coeffs
+        for c2, w2 in items2:
+            key = tuple(map(add, c1, c2))
+            sums[key] = sums.get(key, 0.0) + w1 * w2
     deficit = 1.0 - (1.0 - m1.deficit) * (1.0 - m2.deficit)
     if prune > 0.0:
-        dropped = 0.0
-        kept: dict[CyclotomicInt, float] = {}
-        for atom, w in atoms.items():
-            if w < prune:
-                dropped += w
-            else:
-                kept[atom] = w
-        atoms = kept
-        deficit += dropped
+        deficit += sum(w for w in sums.values() if w < prune)
+        sums = {c: w for c, w in sums.items() if w >= prune}
+    atoms = {CyclotomicInt(m1.s, c): w for c, w in sums.items()}
     return DiscreteMeasure(m1.s, atoms, deficit)
 
 

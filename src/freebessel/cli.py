@@ -36,6 +36,7 @@ from .matrixlab import (
     weingarten_finite_n,
 )
 from .partitions import (
+    DEFAULT_ENUM_BOUND,
     ColoredWord,
     enumerate_balanced,
     enumerate_nc_s,
@@ -134,7 +135,8 @@ def _report(config: dict, results, started: float) -> str:
             "results": _fmt(results),
             "wall_time_s": time.perf_counter() - started,
             "version": __version__,
-        }
+        },
+        allow_nan=False,
     )
 
 
@@ -158,7 +160,7 @@ def cmd_moments(args, started: float) -> str:
         if series is not None:
             row["series"] = series[k]
             agree = agree and series[k] == closed
-        if s.denominator == 1 and int(s) * k <= 14:
+        if s.denominator == 1 and int(s) * k <= DEFAULT_ENUM_BOUND:
             part = sum(
                 (t ** p.block_count for p in enumerate_nc_s(int(s), k)), Fraction(0)
             )
@@ -263,6 +265,8 @@ def cmd_classical(args, started: float) -> str:
     t = float(_rational(args.t))
     if args.s < 1 or t <= 0:
         raise UsageError("need integer s >= 1 and t > 0")
+    if args.p_max is not None and args.p_max < 1:
+        raise UsageError("p_max must be >= 1")
     m = bessel_law(args.s, t, p_max=args.p_max)
     if args.pushforward:
         m = power_pushforward(m, args.s)
@@ -332,6 +336,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t", required=True)
     p.add_argument("--grid-points", type=int, default=400)
     p.add_argument("--k", type=int, default=4, help="quadrature moments to report")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("partitions", help="noncrossing / balanced enumeration")
@@ -381,10 +386,10 @@ def build_parser() -> _Parser:
     p.add_argument("--s-grid", required=True, help="start:stop:count")
     p.add_argument("--t-grid", required=True, help="start:stop:count")
     p.add_argument("--order", type=int, default=6)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_probe)
 
     for sp in sub.choices.values():
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", dest="out_path", default=None)
     return parser
 

@@ -37,7 +37,7 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 class MCReport:
     statistic: str
     estimate: float
-    std_error: float
+    std_error: float | None  # None when one trial leaves it undefined
     trials: int
     dim: int
     seed: int
@@ -58,7 +58,7 @@ class MCReport:
 def _report(statistic: str, samples: Sequence[float], dim: int, seed: int) -> MCReport:
     arr = np.asarray(samples, dtype=float)
     est = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else float("nan")
+    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else None
     return MCReport(statistic, est, se, len(arr), dim, seed)
 
 

@@ -158,11 +158,15 @@ def _frac_power(base: Fraction, r: Fraction) -> Fraction:
 
 
 def _nth_root(n: int, k: int) -> int:
-    r = round(n ** (1 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    raise ValueError(f"{n} has no exact integer {k}-th root")
+    """Exact integer k-th root of n >= 0, by integer Newton from above."""
+    r = n
+    if n > 1:
+        r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+        while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = y
+    if r**k != n:
+        raise ValueError(f"{n} has no exact integer {k}-th root")
+    return r
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,33 @@ from freebessel.classical import (
 from freebessel.series import MomentSequence, classical_cumulants
 
 
+def brute_force_bessel_law(s, t, p_max):
+    """Test oracle: enumerate every tuple (a_1..a_s), a_k <= p_max, and merge
+    the atoms sum(a_k w^k) exactly; returns (atoms, deficit)."""
+    lam = t / s
+    log_fact = [0.0]
+    for p in range(1, p_max + 1):
+        log_fact.append(log_fact[-1] + math.log(p))
+    atoms = {}
+
+    def rec(k, atom, log_w):
+        if k > s:
+            atoms[atom] = atoms.get(atom, 0.0) + math.exp(log_w)
+            return
+        wk = CyclotomicInt.root_power(s, k)
+        for p in range(p_max + 1):
+            contrib = p * math.log(lam) - log_fact[p] if p else 0.0
+            shift = CyclotomicInt.from_coeffs(s, [p * c for c in wk.coeffs])
+            rec(k + 1, atom + shift, log_w + contrib)
+
+    rec(1, CyclotomicInt.zero(s), -t)
+    term = total = math.exp(-lam)
+    for p in range(1, p_max + 1):
+        term *= lam / p
+        total += term
+    return atoms, max(1.0 - total**s, 0.0)
+
+
 class TestCyclotomic:
     def test_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -109,6 +136,23 @@ class TestBesselLaw:
 
     def test_bessel_function_base(self):
         assert bessel_function(0, 0.0) == pytest.approx(1.0)
+
+
+class TestBesselLawAgainstEnumeration:
+    @pytest.mark.parametrize("s,p_max", [(1, 20), (2, 15), (3, 10), (4, 8), (5, 6)])
+    def test_matches_tuple_enumeration(self, s, p_max):
+        t = 0.9
+        m = bessel_law(s, t, p_max=p_max)
+        atoms, deficit = brute_force_bessel_law(s, t, p_max)
+        assert set(m.atoms) == set(atoms)
+        for atom, w in atoms.items():
+            assert m.atoms[atom] == pytest.approx(w, rel=1e-13, abs=0)
+        assert m.deficit == deficit
+
+    def test_s4_atom_count(self):
+        # the atom is (a_4 - a_2) + i (a_1 - a_3), each difference in [-p_max, p_max]
+        p_max = 12
+        assert len(bessel_law(4, 0.8, p_max=p_max).atoms) == (2 * p_max + 1) ** 2
 
 
 class TestPushforward:
@@ -197,6 +241,12 @@ class TestPoissonLimit:
         m = poisson_limit(1, 512)
         target = bessel_law(1, 1.0, p_max=30)
         assert total_variation(m, target) < 1e-3
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_mass_plus_deficit(self, s):
+        for n in (4, 16, 64, 256):
+            m = poisson_limit(s, n)
+            assert m.total_mass() + m.deficit == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_tv_decreasing(self, s):

@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: payloads, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
+from freebessel import cli
+from freebessel.classical import DiscreteMeasure
 from freebessel.cli import main
 
 
@@ -13,8 +16,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"payload is not strict JSON: bare {name}")
+
+
 def payload(out):
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 class TestMoments:
@@ -125,6 +132,15 @@ class TestMCCommand:
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
 
+    def test_one_trial_is_strict_json(self, capsys):
+        code, out, _ = run(
+            capsys, "mc", "--model", "dw", "--s", "2", "--dim", "16", "--trials", "1"
+        )
+        assert code == 0
+        results = payload(out)["results"]
+        assert results["trials"] == 1
+        assert results["std_error"] is None
+
     def test_character_needs_word(self, capsys):
         code, _, err = run(
             capsys, "mc", "--model", "character", "--s", "2", "--dim", "50",
@@ -140,6 +156,12 @@ class TestGLMCommand:
         results = payload(out)["results"]
         assert results["constant_term"] == "3/1"
 
+    def test_format_flag_rejected(self, capsys):
+        code, out, err = run(capsys, "glm", "--K", "6", "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+
     def test_numeric_failure_exit(self, capsys):
         code, _, err = run(capsys, "glm", "--K", "9")
         assert code == 2
@@ -153,6 +175,23 @@ class TestClassicalCommand:
         weights = {tuple(a["coeffs"]): a["weight"] for a in results["atoms"]}
         assert weights[(0,)] == pytest.approx(0.4657596075936404, abs=1e-10)
         assert results["real_moments"][1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_p_max_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "classical", "--s", "2", "--t", "1", "--p-max", "0")
+        assert code == 1
+        assert out == ""
+        assert "p_max" in err
+
+
+class TestStrictJSON:
+    def test_non_finite_value_is_numeric_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "bessel_law", lambda s, t, p_max=None: DiscreteMeasure(s, {}, math.inf)
+        )
+        code, out, err = run(capsys, "classical", "--s", "2", "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert "numeric failure" in err
 
 
 class TestWeingartenCommand:

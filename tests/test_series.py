@@ -11,6 +11,7 @@ from freebessel.series import (
     CumulantSequence,
     MomentSequence,
     RationalSeries,
+    _nth_root,
     bernoulli_moments,
     boxplus_power,
     boxtimes_power,
@@ -306,6 +307,20 @@ class TestPowers:
         lhs = boxplus_power(boxplus_power(pi, a), b)
         rhs = boxplus_power(pi, a * b)
         assert all(lhs[k] == rhs[k] for k in range(1, 9))
+
+
+class TestNthRoot:
+    @pytest.mark.parametrize(
+        "root,k", [(3**40, 2), (10**30 + 1, 3), (7**200, 2), (0, 3), (1, 5), (12, 1)]
+    )
+    def test_exact_roots_beyond_float_precision(self, root, k):
+        assert _nth_root(root**k, k) == root
+
+    def test_non_power_rejected(self):
+        with pytest.raises(ValueError):
+            _nth_root(3**80 + 1, 2)
+        with pytest.raises(ValueError):
+            _nth_root((10**30 + 1) ** 3 - 1, 3)
 
 
 class TestEtaAndSigma:
