@@ -8,7 +8,6 @@ by floating-point proximity.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -157,14 +156,14 @@ class DiscreteMeasure:
             )
         return out
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         entries = []
         for atom, w in sorted(self.atoms.items(), key=lambda kv: -kv[1]):
             z = atom.to_complex()
             entries.append(
                 {"coeffs": list(atom.coeffs), "complex": [z.real, z.imag], "weight": w}
             )
-        return json.dumps({"s": self.s, "atoms": entries, "deficit": self.deficit})
+        return {"s": self.s, "atoms": entries, "deficit": self.deficit}
 
 
 def exp_s(s: int, z: complex) -> complex:

@@ -1,18 +1,15 @@
 """Command-line frontend: every computation, reproducible seeds, JSON/CSV output.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 region guard
-(parameters inside the critical rectangle without --force).  The environment
-variable FREEBESSEL_THREADS caps worker threads for the probe sweep.
+(parameters inside the critical rectangle without --force).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -38,6 +35,7 @@ from .matrixlab import (
 from .partitions import (
     DEFAULT_ENUM_BOUND,
     ColoredWord,
+    EnumerationBoundError,
     enumerate_balanced,
     enumerate_nc_s,
     fuss_catalan,
@@ -83,15 +81,6 @@ def _fmt(value):
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
     return value
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FREEBESSEL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"FREEBESSEL_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _grid_spec(text: str) -> list[float]:
@@ -186,7 +175,7 @@ def cmd_density(args, started: float) -> str:
         return grid.to_csv()
     config = {"command": "density", "s": s, "t": t, "grid_points": args.grid_points,
               "k": args.k}
-    results = json.loads(grid.to_json())
+    results = grid.as_dict()
     results["quadrature_moments"] = list(quad[1:])
     return _report(config, results, started)
 
@@ -245,7 +234,7 @@ def cmd_mc(args, started: float) -> str:
     config = {"command": "mc", "model": args.model, "s": args.s, "k": args.k,
               "dim": args.dim, "trials": args.trials, "seed": args.seed,
               "t": args.t, "word": args.word, "power": args.power}
-    return _report(config, json.loads(rep.to_json()), started)
+    return _report(config, rep.as_dict(), started)
 
 
 def cmd_glm(args, started: float) -> str:
@@ -270,7 +259,7 @@ def cmd_classical(args, started: float) -> str:
     m = bessel_law(args.s, t, p_max=args.p_max)
     if args.pushforward:
         m = power_pushforward(m, args.s)
-    results = json.loads(m.to_json())
+    results = m.as_dict()
     if args.k:
         results["real_moments"] = m.real_moments(args.k)
     config = {"command": "classical", "s": args.s, "t": args.t,
@@ -291,15 +280,7 @@ def cmd_weingarten(args, started: float) -> str:
 def cmd_probe(args, started: float) -> str:
     s_values = _grid_spec(args.s_grid)
     t_values = _grid_spec(args.t_grid)
-    cells = [(s, t) for s in s_values for t in t_values]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(
-                pool.map(lambda c: existence_probe(c[0], c[1], args.order), cells)
-            )
-    else:
-        reports = [existence_probe(s, t, args.order) for s, t in cells]
+    reports = [existence_probe(s, t, args.order) for s in s_values for t in t_values]
     if args.format == "csv":
         lines = ["s,t,passed,failed_minor,failed_matrix"]
         for r in reports:
@@ -402,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "glm" and args.d_spec is None:
             args.d_spec = "roots" if args.s else "identity"
         payload = args.func(args, started)
-    except UsageError as exc:
+    except (UsageError, EnumerationBoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RegionError as exc:

@@ -7,7 +7,6 @@ selected by continuation from outside the support.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import fuss_catalan, generalized_binomial
+from .partitions import fuss_catalan, fuss_narayana_poly
 from .series import (
     MomentSequence,
     bernoulli_moments,
@@ -61,15 +60,9 @@ def moment(s, t, k: int) -> Fraction:
 
 @lru_cache(maxsize=65536)
 def _moment_cached(s: Fraction, t: Fraction, k: int) -> Fraction:
-    sf, tf = Fraction(s), Fraction(t)
     total = Fraction(0)
-    for b in range(1, k + 1):
-        total += (
-            Fraction(1, b)
-            * generalized_binomial(k - 1, b - 1)
-            * generalized_binomial(sf * k, b - 1)
-            * tf**b
-        )
+    for c in reversed(fuss_narayana_poly(s, k)):
+        total = total * t + c
     return total
 
 
@@ -289,20 +282,18 @@ class DensityGrid:
             lines.append(f"{x!r},{v!r}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "params": {"s": self.params.s, "t": self.params.t},
-                "support": self.support_info.as_dict(),
-                "atom": {"location": 0.0, "mass": self.support_info.atom_mass},
-                "quadrature_mass": self.quadrature_mass,
-                "quadrature_moments": list(self.quadrature_moments),
-                "grid": {
-                    "x": list(self.abscissae),
-                    "density": list(self.values),
-                },
-            }
-        )
+    def as_dict(self) -> dict:
+        return {
+            "params": {"s": self.params.s, "t": self.params.t},
+            "support": self.support_info.as_dict(),
+            "atom": {"location": 0.0, "mass": self.support_info.atom_mass},
+            "quadrature_mass": self.quadrature_mass,
+            "quadrature_moments": list(self.quadrature_moments),
+            "grid": {
+                "x": list(self.abscissae),
+                "density": list(self.values),
+            },
+        }
 
 
 def _quadrature_nodes(s: int, t: float, sup: SupportInfo):

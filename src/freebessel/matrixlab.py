@@ -8,7 +8,6 @@ any parallel execution.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import ColoredWord, SetPartition, enumerate_balanced, join, star_moment
+from .partitions import ColoredWord, EnumerationBoundError, enumerate_balanced, join
 
 MASK64 = (1 << 64) - 1
 
@@ -42,17 +41,15 @@ class MCReport:
     dim: int
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "statistic": self.statistic,
-                "estimate": self.estimate,
-                "std_error": self.std_error,
-                "trials": self.trials,
-                "N": self.dim,
-                "seed": self.seed,
-            }
-        )
+    def as_dict(self) -> dict:
+        return {
+            "statistic": self.statistic,
+            "estimate": self.estimate,
+            "std_error": self.std_error,
+            "trials": self.trials,
+            "N": self.dim,
+            "seed": self.seed,
+        }
 
 
 def _report(statistic: str, samples: Sequence[float], dim: int, seed: int) -> MCReport:
@@ -74,12 +71,6 @@ def sample_ginibre(
     )
 
 
-def sample_ginibre_seeded(
-    rows: int, cols: int, variance: float, seed: int
-) -> np.ndarray:
-    return sample_ginibre(rows, cols, variance, _trial_rng(seed, 0))
-
-
 def product_model_mc(
     s: int, N: int, k: int, trials: int, seed: int
 ) -> MCReport:
@@ -93,8 +84,8 @@ def product_model_mc(
     samples = []
     for i in range(trials):
         rng = _trial_rng(seed, i)
-        M = np.eye(N, dtype=complex)
-        for _ in range(s):
+        M = sample_ginibre(N, N, 1.0 / N, rng)
+        for _ in range(s - 1):
             M = M @ sample_ginibre(N, N, 1.0 / N, rng)
         A = M @ M.conj().T
         P = A
@@ -127,15 +118,7 @@ def dw_model_mc(
     m = power if power is not None else s * k
     if m < 1:
         raise ValueError("power must be >= 1")
-    samples = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        DW = _dw_matrix(s, N, rng)
-        P = DW
-        for _ in range(m - 1):
-            P = P @ DW
-        samples.append(P.trace().real / (s * N))
-    return _report(f"tr((DW)^{m}), s={s}", samples, N, seed)
+    return dw_model_mc_multi(s, N, [m], trials, seed)[m]
 
 
 def dw_model_mc_multi(
@@ -147,9 +130,10 @@ def dw_model_mc_multi(
     for i in range(trials):
         rng = _trial_rng(seed, i)
         DW = _dw_matrix(s, N, rng)
-        P = np.eye(s * N, dtype=complex)
+        P = DW
         for m in range(1, m_max + 1):
-            P = P @ DW
+            if m > 1:
+                P = P @ DW
             if m in samples:
                 samples[m].append(P.trace().real / (s * N))
     return {
@@ -211,7 +195,7 @@ def glm_exact(
     survive, M = sN, and the constant term equals #NC_s(K/s).
     """
     if K > GLM_MAX_K:
-        raise ValueError(f"K = {K} exceeds the brute-force bound {GLM_MAX_K}")
+        raise EnumerationBoundError(f"K = {K} exceeds the brute-force bound {GLM_MAX_K}")
     if K < 1:
         raise ValueError("K must be >= 1")
     if d_spec not in ("identity", "roots"):
@@ -246,7 +230,7 @@ def geodesic_count(s: int, k: int) -> int:
     """
     K = s * k
     if K > GLM_MAX_K:
-        raise ValueError(f"sk = {K} exceeds the brute-force bound {GLM_MAX_K}")
+        raise EnumerationBoundError(f"sk = {K} exceeds the brute-force bound {GLM_MAX_K}")
     pi = _full_cycle(K)
     d_total = K - _cycle_count(pi)
     count = 0
@@ -357,8 +341,3 @@ def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: float) -> float:
         [[float(m) ** join_blocks[i][j] for j in range(dim)] for i in range(dim)]
     )
     return float(np.sum(wg * coupling))
-
-
-def exact_star_moment(s: int, t, word: ColoredWord) -> Fraction:
-    """Limit value of the Weingarten sum: the balanced-partition generating sum."""
-    return star_moment(s, t, word)

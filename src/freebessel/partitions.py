@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 DEFAULT_ENUM_BOUND = 14
@@ -122,17 +123,6 @@ def enumerate_nc(m: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetPartition]:
     return enumerate_nc_s(1, m, bound=bound)
 
 
-def generalized_binomial(x, j: int) -> Fraction:
-    """binom(x, j) via the falling factorial, for rational (or integer) x."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    num = Fraction(1)
-    xf = Fraction(x)
-    for i in range(j):
-        num *= xf - i
-    return num / factorial(j)
-
-
 def fuss_catalan(s, k: int) -> Fraction:
     """The generalized Fuss-Catalan number (1/(sk+1)) * binom(sk+k, k).
 
@@ -150,21 +140,22 @@ def fuss_catalan(s, k: int) -> Fraction:
     return num / factorial(k)
 
 
-def fuss_narayana_poly(s: int, k: int) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=128)
+def fuss_narayana_poly(s, k: int) -> tuple[Fraction, ...]:
     """Coefficients (c_0..c_k) of the block-count refinement of fuss_catalan.
 
-    c_b counts partitions in NC_s(k) with exactly b blocks:
-    c_b = (1/b) * binom(k-1, b-1) * binom(sk, b-1).
+    c_b = (1/b) * binom(k-1, b-1) * binom(sk, b-1), for any rational s > 0.
+    For integer s, c_b counts partitions in NC_s(k) with exactly b blocks,
+    and sum_b c_b t^b is the k-th moment of the free Bessel law pi_st.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    coeffs = [Fraction(0)] * (k + 1)
+    sk = Fraction(s) * k
+    coeffs = [Fraction(0)]
+    binom_sk = Fraction(1)  # binom(sk, b-1), updated one factor per step
     for b in range(1, k + 1):
-        coeffs[b] = (
-            Fraction(1, b)
-            * generalized_binomial(k - 1, b - 1)
-            * generalized_binomial(Fraction(s) * k, b - 1)
-        )
+        coeffs.append(comb(k - 1, b - 1) * binom_sk / b)
+        binom_sk *= (sk - b + 1) / b
     return tuple(coeffs)
 
 

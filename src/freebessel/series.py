@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 DEFAULT_ORDER = 16
 
@@ -234,28 +234,6 @@ def revert(g: RationalSeries) -> RationalSeries:
     return RationalSeries(tuple(out), n)
 
 
-def revert_newton(g: RationalSeries) -> RationalSeries:
-    """Compositional inverse by Newton iteration on series; agrees with revert()."""
-    if g.coeffs[0] != 0:
-        raise ValueError("series must vanish at 0")
-    if g.order < 1 or g.coeffs[1] == 0:
-        raise ValueError("linear coefficient must be nonzero")
-    n = g.order
-    x = RationalSeries.from_coeffs([0, 1 / g.coeffs[1]], n)
-    prec = 1
-    gd = RationalSeries(
-        tuple((i + 1) * g.coeffs[i + 1] for i in range(n)), n - 1
-    )
-    while prec < n:
-        prec = min(2 * prec, n)
-        err = g.compose(x) - RationalSeries.from_coeffs([0, 1], n)
-        inv = gd.compose(x.truncate(n - 1)).inverse()
-        # padding inv to order n is harmless: err vanishes to order >= 2
-        corr = err * RationalSeries.from_coeffs(inv.coeffs, n)
-        x = x - corr
-    return x
-
-
 def s_transform(m: MomentSequence) -> RationalSeries:
     """S(z) = (1 + 1/z) chi(z) from the moments, valid to order N-1."""
     if m[1] == 0:
@@ -279,49 +257,22 @@ def moments_from_s(S: RationalSeries, order: int) -> MomentSequence:
 
 
 def free_cumulants(m: MomentSequence) -> CumulantSequence:
-    """Free cumulants via the triangular moment-cumulant recursion.
+    """Free cumulants from the R-transform identity C(w) = w / f^(-1)(w).
 
-    m_n = sum_{j=1..n} kappa_j * sum_{i_1+...+i_j = n-j} m_{i_1} ... m_{i_j}
-    (first-block decomposition over noncrossing partitions, m_0 = 1).
+    Here f(z) = z M(z) with M the moment series and C(w) = 1 + sum kappa_n w^n
+    (Nica-Speicher, Lectures on the Combinatorics of Free Probability, Lect. 16).
     """
-    n = m.order
-    mom = [Fraction(1)] + list(m.moments)
-    kappa: list[Fraction] = []
-    for order in range(1, n + 1):
-        # conv[j][r] = sum over i_1+..+i_j = r of products of moments
-        total = Fraction(0)
-        for j in range(1, order):
-            total += kappa[j - 1] * _moment_convolution(mom, j, order - j)
-        kappa.append(mom[order] - total)
-    return CumulantSequence("free", tuple(kappa))
-
-
-def _moment_convolution(mom: Sequence[Fraction], j: int, r: int) -> Fraction:
-    """sum over i_1+...+i_j = r (i >= 0) of mom[i_1] * ... * mom[i_j]."""
-    cur = [Fraction(1) if i == 0 else Fraction(0) for i in range(r + 1)]
-    for _ in range(j):
-        nxt = [Fraction(0)] * (r + 1)
-        for a in range(r + 1):
-            if cur[a] == 0:
-                continue
-            for b in range(r + 1 - a):
-                nxt[a + b] += cur[a] * mom[b]
-        cur = nxt
-    return cur[r]
+    c = revert(m.stieltjes().shift_up()).shift_down().inverse()
+    return CumulantSequence("free", c.coeffs[1:])
 
 
 def moments_from_free_cumulants(kappa: CumulantSequence) -> MomentSequence:
-    """Exact inverse of free_cumulants, same recursion run forward."""
+    """Exact inverse of free_cumulants: z M(z) is the reversion of w / C(w)."""
     if kappa.kind != "free":
         raise ValueError("expected free cumulants")
-    n = kappa.order
-    mom = [Fraction(1)]
-    for order in range(1, n + 1):
-        total = Fraction(0)
-        for j in range(1, order + 1):
-            total += kappa[j] * _moment_convolution(mom + [Fraction(0)], j, order - j)
-        mom.append(total)
-    return MomentSequence(tuple(mom[1:]))
+    c = RationalSeries.from_coeffs((Fraction(1),) + kappa.cumulants)
+    f = revert(c.inverse().shift_up())
+    return MomentSequence(f.coeffs[2:])
 
 
 def classical_cumulants(m: MomentSequence) -> CumulantSequence:

@@ -20,7 +20,7 @@ from freebessel.freelaws import (
     quadrature_moments,
     support,
 )
-from freebessel.partitions import enumerate_nc_s, fuss_catalan
+from freebessel.partitions import enumerate_nc_s, fuss_catalan, fuss_narayana_poly
 
 F = Fraction
 
@@ -46,6 +46,13 @@ class TestMoment:
             )
         )
         assert moment(F(1, 2), 1, 3) == explicit == F(21, 8)
+
+    def test_fuss_narayana_poly_at_non_integer_s(self):
+        s, t = F(5, 2), F(2, 3)
+        series_m = moments_via_series(s, t, 8)
+        for k in range(1, 9):
+            value = sum(c * t**b for b, c in enumerate(fuss_narayana_poly(s, k)))
+            assert value == moment(s, t, k) == series_m[k]
 
     def test_at_t_one_equals_fuss_catalan(self):
         for s in (1, 2, 3, F(1, 2), F(7, 3)):
@@ -220,10 +227,8 @@ class TestDensityGrid:
         assert grid.quadrature_mass == pytest.approx(0.5, abs=1e-6)
 
     def test_serialization(self):
-        import json
-
         grid = density_grid(2, 1.0, n_points=10)
-        data = json.loads(grid.to_json())
+        data = grid.as_dict()
         assert data["support"]["K_plus"] == pytest.approx(27 / 4)
         assert len(data["grid"]["x"]) == 10
         csv = grid.to_csv()

@@ -1,6 +1,5 @@
 """Matrix models, exact permutation sums, characters, Weingarten integration."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ import pytest
 
 from freebessel.classical import bessel_law
 from freebessel.matrixlab import (
+    _dw_matrix,
     _trial_rng,
     dw_model_mc,
     dw_model_mc_multi,
@@ -21,7 +21,13 @@ from freebessel.matrixlab import (
     splitmix64,
     weingarten_finite_n,
 )
-from freebessel.partitions import ColoredWord, enumerate_nc_s, fuss_catalan, star_moment
+from freebessel.partitions import (
+    ColoredWord,
+    EnumerationBoundError,
+    enumerate_nc_s,
+    fuss_catalan,
+    star_moment,
+)
 
 
 def within_3se(report, target):
@@ -41,7 +47,7 @@ class TestSeeding:
 
     def test_report_json(self):
         rep = product_model_mc(1, N=16, k=1, trials=5, seed=1)
-        data = json.loads(rep.to_json())
+        data = rep.as_dict()
         assert set(data) == {"statistic", "estimate", "std_error", "trials", "N", "seed"}
 
 
@@ -100,6 +106,19 @@ class TestDWModel:
             exact = glm_eval(glm_exact(s * k, s, "roots"), s * N)
             assert within_3se(rep, exact)
 
+    def test_single_power_matches_reference_loop(self):
+        s, N, m, trials, seed = 2, 16, 3, 5, 17
+        samples = []
+        for i in range(trials):
+            DW = _dw_matrix(s, N, _trial_rng(seed, i))
+            P = DW
+            for _ in range(m - 1):
+                P = P @ DW
+            samples.append(P.trace().real / (s * N))
+        rep = dw_model_mc(s, N, k=0, trials=trials, seed=seed, power=m)
+        assert rep.estimate == float(np.mean(samples))
+        assert rep.std_error == float(np.std(samples, ddof=1) / math.sqrt(trials))
+
     def test_multi_matches_single(self):
         multi = dw_model_mc_multi(2, N=32, powers=[2, 4], trials=20, seed=16)
         single = dw_model_mc(2, N=32, k=2, trials=20, seed=16)
@@ -128,8 +147,10 @@ class TestGLMExact:
                 assert all(e <= 0 for e in poly)
 
     def test_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EnumerationBoundError):
             glm_exact(9)
+        with pytest.raises(EnumerationBoundError):
+            geodesic_count(3, 3)
 
     def test_roots_requires_divisibility(self):
         with pytest.raises(ValueError):

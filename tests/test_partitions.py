@@ -1,6 +1,7 @@
 """Exact combinatorics: noncrossing enumeration, counting formulas, balance, join."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,18 @@ from freebessel.partitions import (
     enumerate_nc_s,
     fuss_catalan,
     fuss_narayana_poly,
-    generalized_binomial,
     is_noncrossing,
     join,
     star_moment,
 )
+
+
+def generalized_binomial(x, j: int) -> Fraction:
+    """binom(x, j) via the falling factorial: the oracle for the counting formulas."""
+    num = Fraction(1)
+    for i in range(j):
+        num *= Fraction(x) - i
+    return num / factorial(j)
 
 
 def part(*blocks):
@@ -116,6 +124,17 @@ class TestFussNarayana:
                 for p in enumerate_nc_s(s, k):
                     hist[p.block_count] += 1
                 assert list(coeffs) == hist
+
+    def test_matches_binomial_formula(self):
+        for s in (1, 3, Fraction(5, 2), Fraction(1, 3), Fraction(7, 3)):
+            for k in range(1, 13):
+                expected = (0,) + tuple(
+                    Fraction(1, b)
+                    * generalized_binomial(k - 1, b - 1)
+                    * generalized_binomial(s * k, b - 1)
+                    for b in range(1, k + 1)
+                )
+                assert fuss_narayana_poly(s, k) == expected
 
     def test_sums_to_fuss_catalan(self):
         for s in (1, 2, 3, 4):

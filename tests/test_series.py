@@ -1,12 +1,14 @@
 """Exact series pipeline: reversion, transforms, cumulants, free convolutions."""
 
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebessel.partitions import fuss_catalan
+from freebessel.partitions import enumerate_nc, fuss_catalan
 from freebessel.series import (
     CumulantSequence,
     MomentSequence,
@@ -26,7 +28,6 @@ from freebessel.series import (
     moments_from_free_cumulants,
     moments_from_s,
     revert,
-    revert_newton,
     s_transform,
     serialize_series,
 )
@@ -68,6 +69,32 @@ def moment_sequences(order, m1_nonzero=True):
         return MomentSequence.from_values(values)
 
     return st.lists(small_fractions, min_size=order, max_size=order).map(build)
+
+
+def revert_newton(g: RationalSeries) -> RationalSeries:
+    """Compositional inverse by Newton iteration on series: the oracle for revert()."""
+    n = g.order
+    x = RationalSeries.from_coeffs([0, 1 / g.coeffs[1]], n)
+    prec = 1
+    gd = RationalSeries(
+        tuple((i + 1) * g.coeffs[i + 1] for i in range(n)), n - 1
+    )
+    while prec < n:
+        prec = min(2 * prec, n)
+        err = g.compose(x) - RationalSeries.from_coeffs([0, 1], n)
+        inv = gd.compose(x.truncate(n - 1)).inverse()
+        # padding inv to order n is harmless: err vanishes to order >= 2
+        corr = err * RationalSeries.from_coeffs(inv.coeffs, n)
+        x = x - corr
+    return x
+
+
+NC_ORACLE_MAX = 10
+# block-size multisets of NC(n) with their multiplicities, n = 1..NC_ORACLE_MAX
+NC_BLOCK_TYPES = {
+    n: Counter(tuple(sorted(map(len, p.blocks))) for p in enumerate_nc(n))
+    for n in range(1, NC_ORACLE_MAX + 1)
+}
 
 
 class TestRevert:
@@ -186,6 +213,19 @@ class TestFreeCumulants:
     def test_round_trip(self, m):
         back = moments_from_free_cumulants(free_cumulants(m))
         assert all(back[k] == m[k] for k in range(1, 9))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(small_fractions, min_size=NC_ORACLE_MAX, max_size=NC_ORACLE_MAX))
+    def test_moments_are_noncrossing_sums(self, values):
+        # m_n = sum over pi in NC(n) of prod over blocks V of kappa_|V|
+        kappa = CumulantSequence.from_values("free", values)
+        m = moments_from_free_cumulants(kappa)
+        for n, types in NC_BLOCK_TYPES.items():
+            expected = sum(
+                (count * prod(kappa[b] for b in sizes) for sizes, count in types.items()),
+                F(0),
+            )
+            assert m[n] == expected
 
 
 class TestClassicalCumulants:
