@@ -149,12 +149,8 @@ class DiscreteMeasure:
 
     def real_moments(self, n_max: int) -> list[float]:
         """Ordinary moments (real atoms assumed; uses the real part of the embedding)."""
-        out = []
-        for n in range(1, n_max + 1):
-            out.append(
-                sum(w * atom.to_complex().real ** n for atom, w in self.atoms.items())
-            )
-        return out
+        real = [(atom.to_complex().real, w) for atom, w in self.atoms.items()]
+        return [sum(w * x**n for x, w in real) for n in range(1, n_max + 1)]
 
     def as_dict(self) -> dict:
         entries = []

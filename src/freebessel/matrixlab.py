@@ -161,26 +161,6 @@ def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    return len(_cycle_lengths(perm))
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a b)(i) = a(b(i))."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
-
-
-def _full_cycle(K: int) -> tuple[int, ...]:
-    return tuple((i + 1) % K for i in range(K))
-
-
 GLM_MAX_K = 8
 
 
@@ -205,18 +185,18 @@ def glm_exact(
             raise ValueError("roots spec needs s >= 1")
         if K % s != 0:
             raise ValueError("roots spec needs s | K")
-    pi = _full_cycle(K)
-    poly: dict[int, Fraction] = {}
+    poly: dict[int, int] = {}
     for perm in itertools.permutations(range(K)):
         lengths = _cycle_lengths(perm)
         if d_spec == "roots" and any(l % s for l in lengths):
             continue
-        gamma_sigma = len(lengths)
-        gamma_rel = _cycle_count(_compose(_inverse(perm), pi))
+        # sigma^-1 pi (pi the full cycle i -> i+1) has as many cycles as its
+        # conjugate-inverse sigma pi^-1, which is perm rotated by one place
+        gamma_rel = len(_cycle_lengths(perm[-1:] + perm[:-1]))
         # r_sigma(D) = M^gamma(sigma) for both specs (Tr D^p = M when it survives)
-        exponent = gamma_rel + gamma_sigma - K - 1  # normalized-trace exponent
-        poly[exponent] = poly.get(exponent, Fraction(0)) + 1
-    return dict(sorted(poly.items(), reverse=True))
+        exponent = gamma_rel + len(lengths) - K - 1  # normalized-trace exponent
+        poly[exponent] = poly.get(exponent, 0) + 1
+    return {e: Fraction(c) for e, c in sorted(poly.items(), reverse=True)}
 
 
 def glm_eval(poly: dict[int, Fraction], M: float) -> float:
@@ -226,23 +206,13 @@ def glm_eval(poly: dict[int, Fraction], M: float) -> float:
 def geodesic_count(s: int, k: int) -> int:
     """#{sigma in S_sk: cycle lengths all divisible by s, sigma on a geodesic e -> full cycle}.
 
-    Distances on the Cayley graph are d(a,b) = K - #cycles(a^-1 b).
+    Distances on the Cayley graph are d(a,b) = K - #cycles(a^-1 b), so sigma
+    is geodesic iff #cycles(sigma) + #cycles(sigma^-1 pi) = K + 1: exactly the
+    permutations that contribute to the constant term of glm_exact.
     """
-    K = s * k
-    if K > GLM_MAX_K:
-        raise EnumerationBoundError(f"sk = {K} exceeds the brute-force bound {GLM_MAX_K}")
-    pi = _full_cycle(K)
-    d_total = K - _cycle_count(pi)
-    count = 0
-    for perm in itertools.permutations(range(K)):
-        lengths = _cycle_lengths(perm)
-        if any(l % s for l in lengths):
-            continue
-        d_e = K - len(lengths)
-        d_pi = K - _cycle_count(_compose(_inverse(perm), pi))
-        if d_e + d_pi == d_total:
-            count += 1
-    return count
+    if k == 0:
+        return 1
+    return int(glm_exact(s * k, s, "roots").get(0, 0))
 
 
 # --- characters and Weingarten ----------------------------------------------

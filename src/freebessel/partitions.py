@@ -46,12 +46,6 @@ class SetPartition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
-
 
 def is_noncrossing(p: SetPartition) -> bool:
     """True iff no two blocks of ``p`` cross (no a < x < b < y with a~b, x~y, a!~x)."""
@@ -72,35 +66,55 @@ def is_noncrossing(p: SetPartition) -> bool:
     return True
 
 
-def _enum_nc(points: tuple[int, ...], block_mod: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All noncrossing partitions of ``points`` with block sizes divisible by ``block_mod``.
+def _enum_nc(
+    lo: int, hi: int, weight: tuple[int, ...], s: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Noncrossing partitions of the points lo..hi-1 whose blocks weigh 0 mod s.
 
-    First-block decomposition: the block containing the least point is chosen
-    as an increasing subsequence; the gaps it leaves are partitioned
-    independently.
+    ``weight[x]`` is the weight of point x; the caller ensures that the
+    points' total weight is 0 mod s.  First-block decomposition: the block
+    containing the least point is chosen as an increasing subsequence; the
+    gaps it leaves are partitioned independently, so a gap whose weight is
+    not 0 mod s is pruned.  Blocks come out in canonical order.
     """
-    if not points:
+    if lo == hi:
         yield ()
         return
-    if len(points) % block_mod != 0:
-        return
-    first = points[0]
-    yield from _grow_block((first,), points[1:], block_mod)
+    yield from _grow_block((lo,), weight[lo], lo + 1, hi, weight, s)
 
 
 def _grow_block(
-    block: tuple[int, ...], rest: tuple[int, ...], block_mod: int
+    block: tuple[int, ...],
+    block_weight: int,
+    lo: int,
+    hi: int,
+    weight: tuple[int, ...],
+    s: int,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if len(block) % block_mod == 0:
-        for tail in _enum_nc(rest, block_mod):
+    if block_weight % s == 0:
+        for tail in _enum_nc(lo, hi, weight, s):
             yield (block,) + tail
-    for j, nxt in enumerate(rest):
-        gap = rest[:j]
-        if len(gap) % block_mod != 0:
-            continue
-        for gap_part in _enum_nc(gap, block_mod):
-            for res in _grow_block(block + (nxt,), rest[j + 1:], block_mod):
-                yield (res[0],) + gap_part + res[1:]
+    gap_weight = 0
+    for nxt in range(lo, hi):
+        if gap_weight % s == 0:
+            for gap_part in _enum_nc(lo, nxt, weight, s):
+                for res in _grow_block(
+                    block + (nxt,), block_weight + weight[nxt], nxt + 1, hi, weight, s
+                ):
+                    yield (res[0],) + gap_part + res[1:]
+        gap_weight += weight[nxt]
+
+
+def _enumerate_weighted(weights: tuple[int, ...], s: int) -> list[SetPartition]:
+    """Noncrossing partitions of {1..m} whose blocks weigh 0 mod s.
+
+    Point x weighs ``weights[x - 1]``.
+    """
+    m = len(weights)
+    if sum(weights) % s:
+        return []
+    weight = (0,) + weights
+    return [SetPartition(m, blocks) for blocks in _enum_nc(1, m + 1, weight, s)]
 
 
 def enumerate_nc_s(s: int, k: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetPartition]:
@@ -114,8 +128,7 @@ def enumerate_nc_s(s: int, k: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetP
         raise EnumerationBoundError(
             f"ground size {s * k} exceeds the enumeration bound {bound}"
         )
-    points = tuple(range(1, s * k + 1))
-    return [SetPartition.from_blocks(blocks) for blocks in _enum_nc(points, s)]
+    return _enumerate_weighted((1,) * (s * k), s)
 
 
 def enumerate_nc(m: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetPartition]:
@@ -194,14 +207,13 @@ class ColoredWord:
         return len(self.signs)
 
 
-def _is_balanced(block: tuple[int, ...], word: ColoredWord, s: int) -> bool:
-    return sum(word.signs[x - 1] for x in block) % s == 0
-
-
 def enumerate_balanced(
     s: int, word: ColoredWord, bound: int = DEFAULT_ENUM_BOUND
 ) -> list[SetPartition]:
-    """Noncrossing partitions of {1..len(word)} whose every block is color-balanced mod s."""
+    """Noncrossing partitions of {1..len(word)} whose every block is color-balanced mod s.
+
+    A block is balanced when its letters' signs sum to 0 mod s.
+    """
     if s < 1:
         raise ValueError("s must be >= 1")
     k = len(word)
@@ -209,11 +221,7 @@ def enumerate_balanced(
         raise EnumerationBoundError(
             f"word length {k} exceeds the enumeration bound {bound}"
         )
-    out = []
-    for p in enumerate_nc(k, bound=bound):
-        if all(_is_balanced(b, word, s) for b in p.blocks):
-            out.append(p)
-    return out
+    return _enumerate_weighted(word.signs, s)
 
 
 def star_moment(s: int, t, word: ColoredWord, bound: int = DEFAULT_ENUM_BOUND) -> Fraction:

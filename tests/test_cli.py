@@ -129,6 +129,13 @@ class TestPartitionsCommand:
         assert results["star_moment"] == "1/1"  # t + 2t^2 at t = 1/2
         assert len(results["blocks"]) == 3
 
+    def test_longest_balanced_word(self, capsys):
+        # 14 letters, the enumeration bound: blocks balanced mod 2 are the
+        # even-size blocks, so the count is FC(2, 7)
+        code, out, _ = run(capsys, "partitions", "--s", "2", "--word", "u*" * 7)
+        assert code == 0
+        assert payload(out)["results"]["count"] == 7752
+
 
 class TestMCCommand:
     def test_dw_estimate(self, capsys):

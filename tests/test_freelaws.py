@@ -183,6 +183,19 @@ class TestDensity:
         sup = support(2, 2.0)
         assert density(2, 2.0, float(sup.K_plus) - 1e-8) < 5e-3
 
+    @pytest.mark.parametrize("s, t", [(s, t) for s in range(1, 6) for t in (0.1, 0.5, 0.9)]
+                             + [(1, 2.0), (1, 6.0)])
+    def test_zero_in_gap_below_bulk(self, s, t):
+        k_minus = float(support(s, t).K_minus)
+        assert k_minus > 0
+        xs = k_minus * np.array([1e-6, 0.1, 0.5, 0.999, 1.0])
+        assert np.all(density(s, t, xs) == 0)
+        assert density(s, t, 0.01 * k_minus) == 0
+        # bulk points in the same call are unaffected by the gap points
+        inside = float(np.mean([k_minus, float(support(s, t).K_plus)]))
+        both = density(s, t, np.append(xs, inside))
+        assert both[-1] == density(s, t, inside) > 0
+
     def test_branch_is_lower_half_plane_and_tail(self):
         xs = np.linspace(0.2, 20.0, 60)
         gs = _branch_values(2, 1.0, xs)
@@ -246,6 +259,13 @@ class TestExistenceProbe:
         assert not report.passed
         assert report.failed_minor is not None
         assert report.failed_matrix in ("H0", "H1")
+
+    @pytest.mark.parametrize("order", [6, 8])
+    def test_first_failing_minor_is_not_masked(self, order):
+        # variance t + (s-1) t^2 = -12 < 0 at (1/2, 6): the 2x2 minor fails,
+        # whatever the size of the later entries
+        report = existence_probe(F(1, 2), 6, order)
+        assert (report.failed_matrix, report.failed_minor) == ("H0", 2)
 
     def test_report_dict(self):
         d = existence_probe(1, 1, 4).as_dict()

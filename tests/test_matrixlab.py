@@ -1,5 +1,6 @@
 """Matrix models, exact permutation sums, characters, Weingarten integration."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,6 +29,44 @@ from freebessel.partitions import (
     fuss_catalan,
     star_moment,
 )
+
+
+def cycle_lengths(perm: tuple[int, ...]) -> list[int]:
+    seen, out = set(), []
+    for i in range(len(perm)):
+        length = 0
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            out.append(length)
+    return out
+
+
+def geodesic_walk(s: int, k: int) -> int:
+    """The oracle for geodesic_count: a walk over every permutation of S_sk.
+
+    Counts sigma with cycle lengths divisible by s and d(e,sigma) +
+    d(sigma,pi) = d(e,pi), where d(a,b) = K - #cycles(a^-1 b) on the Cayley
+    graph and pi is the full cycle i -> i+1.
+    """
+    K = s * k
+    pi = tuple((i + 1) % K for i in range(K))
+    d_total = K - len(cycle_lengths(pi))
+    count = 0
+    for perm in itertools.permutations(range(K)):
+        lengths = cycle_lengths(perm)
+        if any(length % s for length in lengths):
+            continue
+        inv = [0] * K
+        for i, v in enumerate(perm):
+            inv[v] = i
+        d_e = K - len(lengths)
+        d_pi = K - len(cycle_lengths(tuple(inv[pi[i]] for i in range(K))))
+        if d_e + d_pi == d_total:
+            count += 1
+    return count
 
 
 def within_3se(report, target):
@@ -169,6 +208,11 @@ class TestGeodesics:
                 if s * k > 8:
                     break
                 assert geodesic_count(s, k) == fuss_catalan(s, k)
+
+    def test_matches_permutation_walk(self):
+        for s in range(1, 9):
+            for k in range(0, 8 // s + 1):
+                assert geodesic_count(s, k) == geodesic_walk(s, k)
 
 
 class TestCharacters:

@@ -1,6 +1,9 @@
 """Exact combinatorics: noncrossing enumeration, counting formulas, balance, join."""
 
+import itertools
+import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -28,6 +31,53 @@ def generalized_binomial(x, j: int) -> Fraction:
     for i in range(j):
         num *= Fraction(x) - i
     return num / factorial(j)
+
+
+def nc_by_first_block(points: tuple[int, ...]):
+    """All noncrossing partitions of ``points``, by the unweighted first-block walk.
+
+    The block of the least point is grown as an increasing subsequence and
+    the gaps it leaves are partitioned independently.  This is the walk the
+    weighted enumerator replaced; it fixes the order the oracles expect.
+    """
+    if not points:
+        yield ()
+        return
+    yield from _grow_first_block((points[0],), points[1:])
+
+
+def _grow_first_block(block: tuple[int, ...], rest: tuple[int, ...]):
+    for tail in nc_by_first_block(rest):
+        yield (block,) + tail
+    for j, nxt in enumerate(rest):
+        for gap_part in nc_by_first_block(rest[:j]):
+            for res in _grow_first_block(block + (nxt,), rest[j + 1:]):
+                yield (res[0],) + gap_part + res[1:]
+
+
+@lru_cache(maxsize=None)
+def _nc(m: int) -> list[SetPartition]:
+    return [SetPartition.from_blocks(b) for b in nc_by_first_block(tuple(range(1, m + 1)))]
+
+
+def balanced_by_filter(s: int, word: ColoredWord) -> list[SetPartition]:
+    """The balanced partitions by filtering all of NC(k): the oracle for the weighted walk."""
+    return [
+        p
+        for p in _nc(len(word))
+        if all(sum(word.signs[x - 1] for x in b) % s == 0 for b in p.blocks)
+    ]
+
+
+def all_set_partitions(m: int):
+    """Every set partition of {1..m}, by inserting m into a partition of {1..m-1}."""
+    if m == 0:
+        yield []
+        return
+    for p in all_set_partitions(m - 1):
+        for i in range(len(p)):
+            yield p[:i] + [p[i] + [m]] + p[i + 1:]
+        yield p + [[m]]
 
 
 def part(*blocks):
@@ -77,6 +127,20 @@ class TestEnumeration:
     def test_bound_error(self):
         with pytest.raises(EnumerationBoundError):
             enumerate_nc_s(3, 5)
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_nc_is_all_noncrossing_set_partitions(self, m):
+        found = enumerate_nc(m)
+        brute = {part(*b) for b in all_set_partitions(m)}
+        assert len(found) == len(set(found))
+        assert set(found) == {p for p in brute if is_noncrossing(p)}
+
+    def test_matches_filter_oracle(self):
+        # same partitions in the same order as filtering NC(sk) by block size
+        for s in range(1, 9):
+            for k in range(0, 10 // s + 1):
+                word = ColoredWord.same_color(s * k)
+                assert enumerate_nc_s(s, k) == balanced_by_filter(s, word)
 
     def test_cut_recurrence(self):
         # C_{k+1} = sum over compositions k_0 + ... + k_s = k of C_{k_0}...C_{k_s}
@@ -163,6 +227,20 @@ class TestBalanced:
                 assert is_noncrossing(p)
                 for b in p.blocks:
                     assert sum(word.signs[x - 1] for x in b) % s == 0
+
+    @pytest.mark.parametrize("length", range(7))
+    def test_every_short_word_matches_filter_oracle(self, length):
+        for letters in itertools.product((1, -1), repeat=length):
+            word = ColoredWord(letters)
+            for s in range(1, 5):
+                assert enumerate_balanced(s, word) == balanced_by_filter(s, word)
+
+    def test_random_words_match_filter_oracle(self):
+        rng = random.Random(20071031)
+        for _ in range(24):
+            word = ColoredWord(tuple(rng.choice((1, -1)) for _ in range(rng.randint(7, 10))))
+            for s in range(1, 5):
+                assert enumerate_balanced(s, word) == balanced_by_filter(s, word)
 
 
 class TestStarMoment:
