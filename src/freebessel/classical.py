@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable
 
@@ -132,6 +132,11 @@ class DiscreteMeasure:
     def weight_at(self, atom: CyclotomicInt) -> float:
         return self.atoms.get(atom, 0.0)
 
+    @cached_property
+    def embedded(self) -> list[complex]:
+        """The complex embeddings of the atoms, in atom order."""
+        return [atom.to_complex() for atom in self.atoms]
+
     def moment(self, word_signs: Iterable[int]) -> complex:
         """*-moment: sum of weights times prod of atom^(sign) embeddings.
 
@@ -139,8 +144,7 @@ class DiscreteMeasure:
         """
         total = 0.0 + 0.0j
         signs = tuple(word_signs)
-        for atom, wgt in self.atoms.items():
-            z = atom.to_complex()
+        for z, wgt in zip(self.embedded, self.atoms.values()):
             val = 1.0 + 0.0j
             for sg in signs:
                 val *= z if sg == 1 else z.conjugate()
@@ -149,13 +153,13 @@ class DiscreteMeasure:
 
     def real_moments(self, n_max: int) -> list[float]:
         """Ordinary moments (real atoms assumed; uses the real part of the embedding)."""
-        real = [(atom.to_complex().real, w) for atom, w in self.atoms.items()]
+        real = [(z.real, w) for z, w in zip(self.embedded, self.atoms.values())]
         return [sum(w * x**n for x, w in real) for n in range(1, n_max + 1)]
 
     def as_dict(self) -> dict:
         entries = []
-        for atom, w in sorted(self.atoms.items(), key=lambda kv: -kv[1]):
-            z = atom.to_complex()
+        for (atom, w), z in sorted(zip(self.atoms.items(), self.embedded),
+                                   key=lambda e: -e[0][1]):
             entries.append(
                 {"coeffs": list(atom.coeffs), "complex": [z.real, z.imag], "weight": w}
             )
@@ -252,7 +256,7 @@ def bessel_s2_weight(t: float, r: int) -> float:
 
 def fourier(m: DiscreteMeasure, z: complex) -> complex:
     """F(z) = sum of weights * exp(atom * z), via the complex embedding."""
-    return sum(w * cmath.exp(atom.to_complex() * z) for atom, w in m.atoms.items())
+    return sum(w * cmath.exp(a * z) for a, w in zip(m.embedded, m.atoms.values()))
 
 
 def convolve(

@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import __version__
 from .classical import bessel_law, power_pushforward
 from .freelaws import (
-    RootContinuationError,
     density_grid,
     existence_probe,
     in_defined_region,
@@ -166,11 +165,8 @@ def cmd_density(args, started: float) -> str:
     s, t = _rational(args.s), _rational(args.t)
     if s.denominator != 1 or s < 1 or t <= 0:
         raise UsageError("density needs integer s >= 1 and t > 0")
-    try:
-        grid = density_grid(int(s), float(t), n_points=args.grid_points)
-        quad = quadrature_moments(int(s), float(t), args.k)
-    except RootContinuationError as exc:
-        raise RuntimeError(str(exc))
+    grid = density_grid(int(s), float(t), n_points=args.grid_points)
+    quad = quadrature_moments(int(s), float(t), args.k)
     if args.format == "csv":
         return grid.to_csv()
     config = {"command": "density", "s": s, "t": t, "grid_points": args.grid_points,
@@ -192,7 +188,7 @@ def cmd_partitions(args, started: float) -> str:
         results = {
             "word": args.word,
             "count": len(parts),
-            "star_moment": star_moment(s, t, word),
+            "star_moment": sum((t ** p.block_count for p in parts), Fraction(0)),
             "blocks": [[list(b) for b in p.blocks] for p in parts]
             if args.list
             else None,

@@ -1,8 +1,8 @@
 """The two-parameter free Bessel family: moments, supports, densities, existence.
 
 Moments are exact rationals; densities are computed numerically from the
-algebraic equation of the Stieltjes transform, with the physical branch
-selected by continuation from outside the support.
+algebraic equation of the Stieltjes transform, taking at each point of the
+support the root in the lower half-plane with the largest real part.
 """
 
 from __future__ import annotations
@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, sqrt
-from typing import Sequence
+from math import sqrt
 
 import numpy as np
 
-from .partitions import fuss_catalan, fuss_narayana_poly
+from .partitions import fuss_narayana_poly
 from .series import (
     MomentSequence,
     bernoulli_moments,
@@ -160,105 +159,34 @@ def support(s, t) -> SupportInfo:
     return SupportInfo("t>1", 0.0, 1 / phi_st, 0.0, w_minus=w1)
 
 
-def _stieltjes_poly_coeffs(s: int, t: float, x: float) -> np.ndarray:
-    """Coefficients (descending) of x^s G^(s+1) + (t-1) x^(s-1) G^s - x G + 1."""
-    coeffs = np.zeros(s + 2, dtype=float)
-    coeffs[0] = x**s
-    # accumulate: for s = 1 the G^s and G terms share an index
-    coeffs[1] += (t - 1) * x ** (s - 1)
-    coeffs[s] += -x
-    coeffs[s + 1] += 1.0
-    return coeffs
+def _physical_roots(s: int, t: float, xs: np.ndarray) -> np.ndarray:
+    """G(x - i0) at each x in (K_-, K_+), each point on its own.
 
-
-class RootContinuationError(RuntimeError):
-    def __init__(self, x: float, roots):
-        super().__init__(
-            f"could not continue the physical branch at x = {x}; candidates {roots}"
-        )
-        self.x = x
-        self.roots = list(roots)
-
-
-def _g_tail(s, t, x: float, terms: int = 60) -> complex:
-    """G(x) from the moment expansion, valid well outside the support."""
-    total = 1.0 / x
-    xf = float(x)
-    for k in range(1, terms + 1):
-        total += float(moment(s, t, k)) / xf ** (k + 1)
-    return complex(total)
-
-
-def _continue_branch(s: int, t: float, xs: Sequence[float], x0: float, g0: complex):
-    """Track the physical root of the Stieltjes polynomial along descending xs.
-
-    Steps are bisected adaptively whenever the nearest candidate root is not
-    clearly separated from the others.
+    Of the roots of x^s G^(s+1) + (t-1) x^(s-1) G^s - x G + 1, the physical
+    one has Im G <= 0 and the largest real part.  The companion matrices are
+    those np.roots builds, with the coefficients raised by scalar powers, and
+    are solved in one stacked eigvals call.
     """
-    out = np.empty(len(xs), dtype=complex)
-    x_prev, g_prev = x0, g0
-
-    def step_to(x: float, depth: int = 0) -> complex:
-        nonlocal x_prev, g_prev
-        roots = np.roots(_stieltjes_poly_coeffs(s, t, x))
-        dists = np.abs(roots - g_prev)
-        order = np.argsort(dists)
-        i = int(order[0])
-        if len(order) > 1:
-            j = int(order[1])
-            scale = 1.0 + abs(roots[i])
-            conjugate_pair = (
-                abs(roots[i] - np.conj(roots[j])) < 1e-7 * scale
-                and abs(roots[i].imag) > 1e-12 * scale
-            )
-            if conjugate_pair and dists[j] < 2 * dists[i]:
-                # crossing a support edge: the branch turns complex; take the
-                # lower-half-plane member (boundary value from above)
-                i = i if roots[i].imag <= 0 else j
-                x_prev, g_prev = x, roots[i]
-                return roots[i]
-        rest = np.delete(dists, np.argmin(dists))
-        ambiguous = rest.size > 0 and dists.min() > 0.4 * rest.min()
-        if ambiguous and dists.min() > 1e-13:
-            if depth >= 48:
-                raise RootContinuationError(x, roots)
-            mid = 0.5 * (x_prev + x)
-            if mid in (x_prev, x):
-                raise RootContinuationError(x, roots)
-            step_to(mid, depth + 1)
-            return step_to(x, depth + 1)
-        x_prev, g_prev = x, roots[i]
-        return roots[i]
-
-    for j, x in enumerate(xs):
-        out[j] = step_to(float(x))
-    return out
-
-
-def _branch_values(s: int, t: float, xs: Sequence[float]) -> np.ndarray:
-    """Physical-branch G at the given positive abscissae (any order)."""
-    sup = support(s, t)
-    k_plus = float(sup.K_plus)
-    xs = np.asarray(xs, dtype=float)
-    order = np.argsort(-xs)
-    xs_desc = xs[order]
-    x0 = max(2.5 * k_plus, 2.5 * xs_desc[0])
-    g0 = _g_tail(s, t, x0)
-    gs_desc = _continue_branch(s, t, xs_desc, x0, g0)
-    gs = np.empty_like(gs_desc)
-    gs[order] = gs_desc
-    return gs
+    coeffs = np.zeros((len(xs), s + 2))
+    coeffs[:, 0] = [x**s for x in xs.tolist()]
+    # accumulate: for s = 1 the G^s and G terms share a column
+    coeffs[:, 1] += [(t - 1) * x ** (s - 1) for x in xs.tolist()]
+    coeffs[:, s] += -xs
+    coeffs[:, s + 1] = 1.0
+    companion = np.zeros((len(xs), s + 1, s + 1))
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, np.arange(1, s + 1), np.arange(s)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    real = np.where(roots.imag <= 0, roots.real, -np.inf)
+    return roots[np.arange(len(xs)), np.argmax(real, axis=1)]
 
 
 def density(s: int, t: float, x) -> float | np.ndarray:
-    """Density of the continuous part at x > 0: -Im(G)/pi on the physical branch.
+    """Density of the continuous part at x > 0: -Im G(x - i0)/pi.
 
-    Points in the gap (0, K_-] get 0 without a root solve.  Known defect: the
-    branch is continued in one pass from outside the support down through the
-    requested points, so a sparse call inside the support can land on a wrong
-    root (``density(3, 0.1, 0.33300264)`` alone gives 0.583, the 400-point
-    grid gives 0.0900 there).  Dense grids, as in density_grid and
-    quadrature_moments, are not affected.
+    Points outside (K_-, K_+) get 0 without a root solve; inside, each point
+    takes the physical root of the Stieltjes polynomial (see _physical_roots),
+    so a value does not depend on the other points of the call.
     """
     if int(s) != s or s < 1:
         raise ValueError("density requires integer s >= 1")
@@ -266,10 +194,11 @@ def density(s: int, t: float, x) -> float | np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("x must be positive")
+    sup = support(s, t)
     rho = np.zeros(xs.shape)
-    bulk = xs > float(support(s, t).K_minus)
+    bulk = (xs > float(sup.K_minus)) & (xs < float(sup.K_plus))
     if bulk.any():
-        gs = _branch_values(int(s), float(t), xs[bulk])
+        gs = _physical_roots(int(s), float(t), xs[bulk])
         rho[bulk] = np.maximum(-gs.imag / np.pi, 0.0)
     return float(rho[0]) if scalar else rho
 

@@ -8,7 +8,8 @@ import pytest
 
 from freebessel.freelaws import (
     BesselParams,
-    _branch_values,
+    _physical_roots,
+    _quadrature_nodes,
     density,
     density_grid,
     existence_probe,
@@ -23,6 +24,92 @@ from freebessel.freelaws import (
 from freebessel.partitions import enumerate_nc_s, fuss_catalan, fuss_narayana_poly
 
 F = Fraction
+
+
+def _stieltjes_poly_coeffs(s: int, t: float, x: float) -> np.ndarray:
+    """Coefficients (descending) of x^s G^(s+1) + (t-1) x^(s-1) G^s - x G + 1."""
+    coeffs = np.zeros(s + 2, dtype=float)
+    coeffs[0] = x**s
+    # accumulate: for s = 1 the G^s and G terms share an index
+    coeffs[1] += (t - 1) * x ** (s - 1)
+    coeffs[s] += -x
+    coeffs[s + 1] += 1.0
+    return coeffs
+
+
+def g_tail(s, t, x: float, terms: int = 60) -> complex:
+    """G(x) from the moment expansion, valid well outside the support."""
+    total = 1.0 / x
+    xf = float(x)
+    for k in range(1, terms + 1):
+        total += float(moment(s, t, k)) / xf ** (k + 1)
+    return complex(total)
+
+
+def continue_branch(s: int, t: float, xs, x0: float, g0: complex) -> np.ndarray:
+    """Track the physical root of the Stieltjes polynomial along descending xs.
+
+    Steps are bisected adaptively whenever the nearest candidate root is not
+    clearly separated from the others.
+    """
+    out = np.empty(len(xs), dtype=complex)
+    x_prev, g_prev = x0, g0
+
+    def step_to(x: float, depth: int = 0) -> complex:
+        nonlocal x_prev, g_prev
+        roots = np.roots(_stieltjes_poly_coeffs(s, t, x))
+        dists = np.abs(roots - g_prev)
+        order = np.argsort(dists)
+        i = int(order[0])
+        if len(order) > 1:
+            j = int(order[1])
+            scale = 1.0 + abs(roots[i])
+            conjugate_pair = (
+                abs(roots[i] - np.conj(roots[j])) < 1e-7 * scale
+                and abs(roots[i].imag) > 1e-12 * scale
+            )
+            if conjugate_pair and dists[j] < 2 * dists[i]:
+                # crossing a support edge: the branch turns complex; take the
+                # lower-half-plane member (boundary value from above)
+                i = i if roots[i].imag <= 0 else j
+                x_prev, g_prev = x, roots[i]
+                return roots[i]
+        rest = np.delete(dists, np.argmin(dists))
+        ambiguous = rest.size > 0 and dists.min() > 0.4 * rest.min()
+        if ambiguous and dists.min() > 1e-13:
+            if depth >= 48:
+                raise RuntimeError(f"could not continue the branch at x = {x}")
+            mid = 0.5 * (x_prev + x)
+            if mid in (x_prev, x):
+                raise RuntimeError(f"could not continue the branch at x = {x}")
+            step_to(mid, depth + 1)
+            return step_to(x, depth + 1)
+        x_prev, g_prev = x, roots[i]
+        return roots[i]
+
+    for j, x in enumerate(xs):
+        out[j] = step_to(float(x))
+    return out
+
+
+def continued_density(s: int, t: float, xs) -> np.ndarray:
+    """The density by continuation: the oracle for the per-point root rule.
+
+    The branch is seeded by the moment series at 2.5 K_+ and continued down
+    through the points (all inside the support) in descending order, so the
+    answer is only right when the points are dense enough near the edges.
+    """
+    xs = np.asarray(xs, dtype=float)
+    order = np.argsort(-xs)
+    x0 = max(2.5 * float(support(s, t).K_plus), 2.5 * xs[order[0]])
+    gs = np.empty(len(xs), dtype=complex)
+    gs[order] = continue_branch(s, t, xs[order], x0, g_tail(s, t, x0))
+    return np.maximum(-gs.imag / np.pi, 0.0)
+
+
+def quadrature_path(s: int, t: float) -> np.ndarray:
+    """The quadrature nodes, graded geometrically toward both support edges."""
+    return _quadrature_nodes(s, t, support(s, t))[0]
 
 
 class TestMoment:
@@ -196,11 +283,46 @@ class TestDensity:
         both = density(s, t, np.append(xs, inside))
         assert both[-1] == density(s, t, inside) > 0
 
-    def test_branch_is_lower_half_plane_and_tail(self):
-        xs = np.linspace(0.2, 20.0, 60)
-        gs = _branch_values(2, 1.0, xs)
-        assert np.all(gs.imag <= 1e-12)
-        assert gs[-1].real == pytest.approx(1 / 20.0, rel=0.1)
+    def test_branch_is_lower_half_plane(self):
+        xs = np.linspace(0.2, 6.7, 60)
+        gs = _physical_roots(2, 1.0, xs)
+        assert np.all(gs.imag <= 0)
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    @pytest.mark.parametrize("t", [0.35, 0.8, 1.0, 2.5])
+    def test_matches_continuation_on_quadrature_nodes(self, s, t):
+        xs = quadrature_path(s, t)
+        assert np.array_equal(density(s, t, xs), continued_density(s, t, xs))
+
+    @pytest.mark.parametrize("s, t", [(2, 0.5), (3, 0.1), (4, 2.0), (6, 0.8)])
+    def test_single_point_equals_dense_call(self, s, t):
+        grid = density_grid(s, t, n_points=200)
+        for i in (0, 1, 57, 120, 199):
+            assert density(s, t, grid.abscissae[i]) == grid.values[i]
+
+    def test_sparse_call_lands_on_physical_root(self):
+        # the continuation, seeded far out and stepping straight to this one
+        # point, gave 0.583; the 400-point grid reads 0.0900 here
+        x = 0.33300264
+        value = density(3, 0.1, x)
+        assert value == pytest.approx(0.090045, abs=1e-6)
+        assert value == continued_density(3, 0.1, np.append(quadrature_path(3, 0.1), x))[-1]
+
+    def test_first_grid_point_near_left_edge(self):
+        # the continuation along the 400-point grid alone gave 61.3 here
+        grid = density_grid(3, 0.75)
+        path = np.append(quadrature_path(3, 0.75), grid.abscissae[0])
+        assert grid.values[0] == continued_density(3, 0.75, path)[-1] < 1
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_haagerup_moller_curve_at_t_one(self, s):
+        # Haagerup-Moller (arXiv:1211.4457): the Fuss-Catalan density as a
+        # curve (x(phi), rho(phi)), 0 < phi < pi/(s+1)
+        phis = np.linspace(0.01, np.pi / (s + 1) - 0.01, 80)
+        sin = np.sin
+        xs = sin((s + 1) * phis) ** (s + 1) / (sin(phis) * sin(s * phis) ** s)
+        rho = sin(phis) ** 2 * sin(s * phis) ** (s - 1) / (np.pi * sin((s + 1) * phis) ** s)
+        assert np.allclose(density(s, 1.0, xs), rho, rtol=1e-10, atol=0)
 
     def test_rejects_fractional_s(self):
         with pytest.raises(ValueError):
@@ -222,6 +344,12 @@ class TestQuadrature:
         value = math.pi * density(s, 1.0, x) * x ** (s / (s + 1))
         target = math.sin(math.pi * s / (s + 1))
         assert value == pytest.approx(target, rel=0.05)
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_small_t_mass(self, s):
+        t = 1e-6
+        mass = quadrature_moments(s, t, 2)[0]
+        assert mass == pytest.approx(t, rel=1e-5)
 
     def test_left_edge_exponent_diagnostic(self):
         a, c = fit_left_edge_exponent(2, 2.0)
