@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .freelaws import (
-    BesselParams,
     DensityGrid,
     ProbeReport,
     SupportInfo,
@@ -29,7 +28,6 @@ from .partitions import (
 )
 
 __all__ = [
-    "BesselParams",
     "ColoredWord",
     "DensityGrid",
     "ProbeReport",

@@ -7,7 +7,7 @@ support the root in the lower half-plane with the largest real part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
@@ -30,20 +30,6 @@ HANKEL_TOL = 1e-10
 def in_defined_region(s: float, t: float) -> bool:
     """True outside the critical rectangle (0,1) x (1,inf)."""
     return not (0 < s < 1 and t > 1)
-
-
-@dataclass(frozen=True)
-class BesselParams:
-    s: float
-    t: float
-
-    def __post_init__(self):
-        if self.s <= 0 or self.t <= 0:
-            raise ValueError("parameters must be positive")
-
-    @property
-    def in_defined_region(self) -> bool:
-        return in_defined_region(self.s, self.t)
 
 
 def moment(s, t, k: int) -> Fraction:
@@ -207,7 +193,8 @@ def density(s: int, t: float, x) -> float | np.ndarray:
 class DensityGrid:
     abscissae: tuple[float, ...]
     values: tuple[float, ...]
-    params: BesselParams
+    s: float
+    t: float
     support_info: SupportInfo
     quadrature_mass: float
     quadrature_moments: tuple[float, ...] = ()
@@ -220,7 +207,7 @@ class DensityGrid:
 
     def as_dict(self) -> dict:
         return {
-            "params": {"s": self.params.s, "t": self.params.t},
+            "params": {"s": self.s, "t": self.t},
             "support": self.support_info.as_dict(),
             "atom": {"location": 0.0, "mass": self.support_info.atom_mass},
             "quadrature_mass": self.quadrature_mass,
@@ -232,55 +219,65 @@ class DensityGrid:
         }
 
 
-def _quadrature_nodes(s: int, t: float, sup: SupportInfo):
-    """Gauss-Legendre nodes and weights adapted to the edge behavior.
+def _roots(s: int, t: float, theta):
+    """b = -B/(2A), E = b^2 - 1 + t (neither cancels as t -> 0 or b -> 0) and db/d(theta)."""
+    beta, sin = -s * theta, np.sin(theta)
+    h = t * np.sin(beta + theta) / (2 * sin)
+    b_1 = -2 * np.sin(beta / 2) ** 2 - h  # b - 1
+    db = s * np.sin(beta) + t * (np.sin(beta) + s * sin * np.cos(beta + theta)) / (2 * sin * sin)
+    return 1 + b_1, (b_1 * (b_1 + 2) + t if t < 1 else (1 + b_1) ** 2 + (t - 1)), db
 
-    Both halves of the support are reparameterized so the integrand is
-    smooth: a power substitution x = c u^(s+1) at a singular left edge at 0,
-    a square-root substitution at edges where the density vanishes.  Panels
-    are graded geometrically toward the edges.
+
+def _curve(s: int, t: float, theta, root: int | None):
+    """u = xG, x and d(log x)/d(theta) at arg u = theta; the density there is -Im u/(pi x).
+
+    x = u^s (u - 1 + t)/(u - 1) is real when c = (u - 1 + t)/(u - 1) = r e^(-i s theta), r
+    root 0 or 1 (t < 1) or the positive root (None) of A r^2 + B r + C, A = -sin theta,
+    B = (1 - t) sin((1 - s) theta) + sin((1 + s) theta), C = (1 - t) A; so r = b +- sqrt(E).
     """
-    a, b = float(sup.K_minus), float(sup.K_plus)
-    mid = 0.5 * (a + b)
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    nodes = 0.5 * (nodes + 1)  # on (0,1)
-    weights = 0.5 * weights
+    b, E, db = _roots(s, t, theta)
+    sq = np.sqrt(np.maximum(E, 0.0))
+    q = b + np.copysign(sq, b)  # and (1 - t)/q: neither root cancels
+    r = np.maximum(q, (1 - t) / q) if root is None else (q, (1 - t) / q)[root]
+    dlog_r = np.copysign(db / sq, r - b)  # implicit differentiation of r^2 - 2br + 1 - t
+    c = r * np.exp(-1j * s * theta)
+    u = 1 - t / (1 - c)
+    dlog_u = -t * c * (dlog_r - 1j * s) / (u * (1 - c) ** 2)
+    return u, np.abs(u) ** s * r, s * dlog_u.real + dlog_r
 
-    xs: list[float] = []
-    ws: list[float] = []  # weight already includes dx/du
 
-    def add_region(u_to_x, dxdu, n_panels=20, grade=0.5):
-        # panels on (0,1], graded toward u = 0
-        hi = 1.0
-        for _ in range(n_panels):
-            lo = hi * grade
-            length = hi - lo
-            for un, uw in zip(nodes, weights):
-                u = lo + length * un
-                xs.append(u_to_x(u))
-                ws.append(uw * length * dxdu(u))
-            hi = lo
-
-    half = mid - a
-    if a == 0:
-        m = s + 1  # removes the x^(-s/(s+1)) (t=1) or x^(-(s-1)/s) (t>1) edge
-        add_region(lambda u: half * u**m, lambda u: half * m * u ** (m - 1))
-    else:
-        add_region(lambda u: a + half * u * u, lambda u: 2 * half * u)
-    half_r = b - mid
-    add_region(lambda u: b - half_r * u * u, lambda u: 2 * half_r * u)
-    return np.array(xs), np.array(ws)
+def _theta_min(s: int, t: float) -> float:
+    """For t < 1, the zero of E in (-pi/(s+1), 0), where the two roots meet."""
+    lo, hi = -np.pi / (s + 1), 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if _roots(s, t, mid)[1] < 0 else (lo, mid)
+    return hi
 
 
 def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
-    """(mass, m_1, ..., m_k_max) of the continuous part, by adapted quadrature."""
-    sup = support(s, t)
-    xs, ws = _quadrature_nodes(int(s), float(t), sup)
-    rho = density(int(s), float(t), xs)
-    out = []
-    for k in range(k_max + 1):
-        out.append(float(np.sum(ws * rho * xs**k)))
-    return tuple(out)
+    """(mass, m_1, ..., m_k_max) of the continuous part, integrated on the curve u = xG.
+
+    rho(x) dx = -Im u |d(log x)/d(theta)| d(theta) / pi along _curve, with no x
+    in the weights (x underflows near 0 at large s).  Each piece runs from theta
+    = start to end as start + (end - start) v^p, 32 Gauss-Legendre nodes in v:
+    v^2 smooths the square-root end at theta_min (t < 1); v^3 clusters the nodes
+    at -pi/(s+1), where the curve turns sharply as t -> 1+ (t >= 1).
+    """
+    if int(s) != s or s < 1:
+        raise ValueError("density requires integer s >= 1")
+    s, t = int(s), float(t)
+    v, w = np.polynomial.legendre.leggauss(32)
+    v, w = 0.5 * (v + 1), 0.5 * w
+    if t < 1:
+        start, p, pieces = _theta_min(s, t), 2, [(0.0, 0), (0.0, 1)]
+    else:  # for t > 1 a second piece runs on to -pi/s
+        start, p, pieces = -np.pi / (s + 1), 3, [(0.0, None)] + [(-np.pi / s, None)] * (t > 1)
+    out = np.zeros(k_max + 1)
+    for end, root in pieces:
+        u, x, dlog_x = _curve(s, t, start + (end - start) * v**p, root)
+        weight = w * np.abs(p * (end - start) * v ** (p - 1) * dlog_x) * -u.imag / np.pi
+        out += [np.sum(weight * x**k) for k in range(k_max + 1)]
+    return tuple(out.tolist())
 
 
 def density_grid(s: int, t: float, n_points: int = 400) -> DensityGrid:
@@ -289,28 +286,14 @@ def density_grid(s: int, t: float, n_points: int = 400) -> DensityGrid:
     a, b = float(sup.K_minus), float(sup.K_plus)
     eps = (b - a) * 1e-9
     grid = np.linspace(a + eps if a > 0 else b * 1e-6, b - eps, n_points)
-    values = density(int(s), float(t), grid)
-    quad = quadrature_moments(int(s), float(t), 0)
     return DensityGrid(
         abscissae=tuple(grid.tolist()),
-        values=tuple(np.asarray(values).tolist()),
-        params=BesselParams(float(s), float(t)),
+        values=tuple(density(s, float(t), grid).tolist()),
+        s=float(s),
+        t=float(t),
         support_info=sup,
-        quadrature_mass=quad[0],
+        quadrature_mass=quadrature_moments(s, float(t), 0)[0],
     )
-
-
-def fit_left_edge_exponent(s: int, t: float) -> tuple[float, float]:
-    """Fit density ~ C x^(-a) near 0 for t > 1; returns (a, C).
-
-    Recorded diagnostically: the limiting exponent is not asserted anywhere.
-    """
-    if t <= 1:
-        raise ValueError("left-edge fit applies to t > 1")
-    xs = np.geomspace(1e-8, 1e-5, 12)
-    rho = density(int(s), float(t), xs)
-    slope, intercept = np.polyfit(np.log(xs), np.log(rho), 1)
-    return -float(slope), float(np.exp(intercept))
 
 
 @dataclass(frozen=True)

@@ -375,10 +375,3 @@ def free_poisson_moments(t, order: int = DEFAULT_ORDER) -> MomentSequence:
 def bernoulli_moments(t, order: int = DEFAULT_ORDER) -> MomentSequence:
     """Moments of (1-t) delta_0 + t delta_1: all equal to t."""
     return MomentSequence.from_values([t] * order)
-
-
-def serialize_series(s: RationalSeries) -> dict:
-    return {
-        "coefficients": [f"{c.numerator}/{c.denominator}" for c in s.coeffs],
-        "order": s.order,
-    }

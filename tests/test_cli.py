@@ -102,6 +102,11 @@ class TestDensity:
     def test_fractional_s_rejected(self, capsys):
         assert run(capsys, "density", "--s", "1.5", "--t", "1")[0] == 1
 
+    def test_large_s(self, capsys):
+        code, out, _ = run(capsys, "density", "--s", "8", "--t", "2")
+        assert code == 0
+        assert payload(out)["results"]["quadrature_mass"] == pytest.approx(1.0, rel=1e-9)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
         code, out, _ = run(

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from freebessel.freelaws import (
-    BesselParams,
+    _curve,
     _physical_roots,
-    _quadrature_nodes,
+    _theta_min,
     density,
     density_grid,
     existence_probe,
-    fit_left_edge_exponent,
     in_defined_region,
     moment,
     moments_via_series,
@@ -107,9 +106,13 @@ def continued_density(s: int, t: float, xs) -> np.ndarray:
     return np.maximum(-gs.imag / np.pi, 0.0)
 
 
-def quadrature_path(s: int, t: float) -> np.ndarray:
-    """The quadrature nodes, graded geometrically toward both support edges."""
-    return _quadrature_nodes(s, t, support(s, t))[0]
+def graded_path(s: int, t: float) -> np.ndarray:
+    """240 points from each support edge to the middle, graded geometrically toward the edge."""
+    sup = support(s, t)
+    a, b = float(sup.K_minus), float(sup.K_plus)
+    mid = 0.5 * (a + b)
+    g = np.geomspace(1e-12, 1, 240)
+    return np.concatenate([a + (mid - a) * g, b - (b - mid) * g])
 
 
 class TestMoment:
@@ -183,11 +186,6 @@ class TestRegionAndParams:
         assert in_defined_region(0.5, 0.5)
         assert in_defined_region(1, 8)
         assert not in_defined_region(0.5, 2)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            BesselParams(0, 1)
-        assert BesselParams(0.5, 2).in_defined_region is False
 
 
 class TestPhi:
@@ -291,7 +289,7 @@ class TestDensity:
     @pytest.mark.parametrize("s", range(1, 7))
     @pytest.mark.parametrize("t", [0.35, 0.8, 1.0, 2.5])
     def test_matches_continuation_on_quadrature_nodes(self, s, t):
-        xs = quadrature_path(s, t)
+        xs = graded_path(s, t)
         assert np.array_equal(density(s, t, xs), continued_density(s, t, xs))
 
     @pytest.mark.parametrize("s, t", [(2, 0.5), (3, 0.1), (4, 2.0), (6, 0.8)])
@@ -306,12 +304,12 @@ class TestDensity:
         x = 0.33300264
         value = density(3, 0.1, x)
         assert value == pytest.approx(0.090045, abs=1e-6)
-        assert value == continued_density(3, 0.1, np.append(quadrature_path(3, 0.1), x))[-1]
+        assert value == continued_density(3, 0.1, np.append(graded_path(3, 0.1), x))[-1]
 
     def test_first_grid_point_near_left_edge(self):
         # the continuation along the 400-point grid alone gave 61.3 here
         grid = density_grid(3, 0.75)
-        path = np.append(quadrature_path(3, 0.75), grid.abscissae[0])
+        path = np.append(graded_path(3, 0.75), grid.abscissae[0])
         assert grid.values[0] == continued_density(3, 0.75, path)[-1] < 1
 
     @pytest.mark.parametrize("s", range(1, 7))
@@ -324,9 +322,28 @@ class TestDensity:
         rho = sin(phis) ** 2 * sin(s * phis) ** (s - 1) / (np.pi * sin((s + 1) * phis) ** s)
         assert np.allclose(density(s, 1.0, xs), rho, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("s", range(1, 9))
+    @pytest.mark.parametrize("t", [0.3, 0.99, 1.0, 1.01, 2.5])
+    def test_curve_matches_root_solve(self, s, t):
+        # the curve u = xG, the Haagerup-Moller form above at every t, against
+        # the pointwise root solve, on a theta grid away from both ends
+        if t < 1:
+            end, roots = _theta_min(s, t), (0, 1)
+        else:
+            end, roots = -np.pi / (s + 1 if t == 1 else s), (None,)
+        thetas = end * np.linspace(0.98, 0.02, 60)
+        for root in roots:
+            u, xs, _ = _curve(s, t, thetas, root)
+            assert np.allclose(density(s, t, xs), -u.imag / (np.pi * xs), rtol=1e-7, atol=0)
+
     def test_rejects_fractional_s(self):
+        # s = 1.5 must not pair the density of s = 1 with the support of s = 1.5
         with pytest.raises(ValueError):
             density(1.5, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            density_grid(1.5, 1.0)
+        with pytest.raises(ValueError):
+            quadrature_moments(1.5, 1.0, 2)
 
 
 class TestQuadrature:
@@ -351,10 +368,20 @@ class TestQuadrature:
         mass = quadrature_moments(s, t, 2)[0]
         assert mass == pytest.approx(t, rel=1e-5)
 
-    def test_left_edge_exponent_diagnostic(self):
-        a, c = fit_left_edge_exponent(2, 2.0)
-        assert 0.3 < a < 0.7  # recorded, not asserted against a closed form
-        assert c > 0
+    @pytest.mark.parametrize(
+        "s, t, rel",
+        [(s, t, 1e-9) for s in range(1, 13)
+         for t in (1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.99, 1.0, 1.01, 1.25, 2.5, 30.0)]
+        # nodes cluster where the curve turns sharply as t -> 1; the weights
+        # hold no x, whose powers underflow near 0 for s >= 7
+        + [(6, 0.999, 1e-9), (20, 1.0, 1e-9)] + [(s, 2.0, 1e-9) for s in (7, 8, 10, 12, 20)]
+        + [(s, t, 1e-5) for s in range(1, 13) for t in (1 - 1e-4, 1 + 1e-4, 1 - 1e-6, 1 + 1e-6)],
+    )
+    def test_closed_form(self, s, t, rel):
+        vals = quadrature_moments(s, t, 6)
+        assert vals[0] == pytest.approx(min(t, 1.0), rel=rel, abs=0)
+        for k in range(1, 7):
+            assert vals[k] == pytest.approx(float(moment(s, t, k)), rel=rel, abs=0)
 
 
 class TestDensityGrid:

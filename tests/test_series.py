@@ -29,7 +29,6 @@ from freebessel.series import (
     moments_from_s,
     revert,
     s_transform,
-    serialize_series,
 )
 
 F = Fraction
@@ -410,10 +409,3 @@ class TestDefiningEquationAndIdentity:
         one = RationalSeries.from_coeffs([1], order=f.order)
         residual = f - one - rhs
         assert all(c == 0 for c in residual.coeffs)
-
-
-class TestSerialization:
-    def test_rational_strings(self):
-        data = serialize_series(series(1, F(-1, 2), order=2))
-        assert data["coefficients"] == ["1/1", "-1/2", "0/1"]
-        assert data["order"] == 2
