@@ -195,10 +195,6 @@ def exp_s(s: int, z: complex) -> complex:
     return val
 
 
-def default_p_max(t: float) -> int:
-    return math.ceil(10 + 5 * t)
-
-
 def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     """The modified Bessel law: law of sum(w^k a_k) for independent Poisson(t/s) a_k.
 
@@ -209,7 +205,7 @@ def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     while the deficit is 8e-15); pass a larger p_max there.
     """
     if p_max is None:
-        p_max = default_p_max(t)
+        p_max = math.ceil(10 + 5 * t)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     lam = t / s

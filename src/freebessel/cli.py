@@ -82,13 +82,14 @@ def _fmt(value):
     return value
 
 
-def _grid_spec(text: str) -> list[float]:
-    """Parse 'start:stop:count' into evenly spaced values (endpoints included)."""
+def _grid_spec(text: str) -> list[Fraction]:
+    """Parse 'start:stop:count' into evenly spaced exact rationals (endpoints included)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be start:stop:count, got {text!r}")
+    lo, hi = _rational(parts[0]), _rational(parts[1])
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        n = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad grid spec {text!r}") from exc
     if n < 1:
@@ -99,7 +100,7 @@ def _grid_spec(text: str) -> list[float]:
 
 
 def _guard_region(s, t, force: bool) -> None:
-    if not in_defined_region(float(s), float(t)) and not force:
+    if not in_defined_region(s, t) and not force:
         raise RegionError(
             f"(s,t)=({s},{t}) lies in the critical rectangle (0,1)x(1,inf); "
             "pass --force to compute formal values anyway"

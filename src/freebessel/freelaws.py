@@ -7,10 +7,10 @@ support the root in the lower half-plane with the largest real part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
+from math import lcm, sqrt
 
 import numpy as np
 
@@ -24,10 +24,8 @@ from .series import (
     free_mult,
 )
 
-HANKEL_TOL = 1e-10
 
-
-def in_defined_region(s: float, t: float) -> bool:
+def in_defined_region(s, t) -> bool:
     """True outside the critical rectangle (0,1) x (1,inf)."""
     return not (0 < s < 1 and t > 1)
 
@@ -306,32 +304,34 @@ class ProbeReport:
     failed_matrix: str | None = None  # "H0" | "H1"
 
     def as_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "order": self.order,
-            "passed": self.passed,
-            "failed_minor": self.failed_minor,
-            "failed_matrix": self.failed_matrix,
-        }
+        return asdict(self)
 
 
 def existence_probe(s, t, order: int = 6) -> ProbeReport:
-    """Stieltjes moment-problem probe: PSD check of both Hankel matrices.
+    """Stieltjes moment-problem probe: is each leading block of H0 and H1 PSD?
 
-    The entries (m_(i+j)) and (m_(i+j+1)), 0 <= i,j <= order, are built
-    exactly from the closed-form moments, then tested minor by minor at
-    working precision.
+    H0 = (m_(i+j)) and H1 = (m_(i+j+1)), 0 <= i,j <= order, from the exact
+    moments times their common denominator, go through integer Bareiss
+    elimination: the k-th pivot is the k x k leading minor (less any dropped
+    row), so the first negative pivot is the first failing minor.  A zero
+    pivot's row is dropped; its first nonzero entry b, if any, fails the block
+    that b enters, since that block then holds [[0, b], [b, c]].
     """
     n = order + 1
     ms = [Fraction(1)] + [moment(s, t, k) for k in range(1, 2 * order + 2)]
-    h0 = np.array([[float(ms[i + j]) for j in range(n)] for i in range(n)])
-    h1 = np.array([[float(ms[i + j + 1]) for j in range(n)] for i in range(n)])
-    for name, h in (("H0", h0), ("H1", h1)):
+    scale = lcm(*(m.denominator for m in ms))
+    ints = [m.numerator * (scale // m.denominator) for m in ms]
+    for name, shift in (("H0", 0), ("H1", 1)):
+        rows, prev, bound = [ints[i + shift:i + shift + n] for i in range(n)], 1, n + 1
         for j in range(1, n + 1):
-            block = h[:j, :j]
-            # scaled by the block under test: a larger later entry must not
-            # hide a negative eigenvalue of a small minor
-            if np.linalg.eigvalsh(block).min() < -HANKEL_TOL * np.abs(block).max():
+            (pivot, *head), *tail = rows
+            if pivot < 0 or j == bound:
                 return ProbeReport(float(s), float(t), order, False, j, name)
+            if pivot == 0:
+                bound = min(bound, j + 1 + next((i for i, b in enumerate(head) if b), n))
+                rows = [row[1:] for row in tail]
+                continue
+            rows = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], head)]
+                    for row in tail]
+            prev = pivot
     return ProbeReport(float(s), float(t), order, True)

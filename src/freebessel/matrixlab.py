@@ -1,8 +1,7 @@
 """Random-matrix and character models, exact permutation sums, Weingarten checks.
 
 Monte Carlo runs are reproducible: trial i draws from a generator seeded by
-splitmix64(seed, i), and results are accumulated in trial order regardless of
-any parallel execution.
+splitmix64(seed, i), and results are accumulated in trial order.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +60,14 @@ class TestMoments:
 
     def test_region_guard(self, capsys):
         code, out, err = run(capsys, "moments", "--s", "0.5", "--t", "2", "--k", "4")
+        assert code == 3
+        assert out == ""
+        assert "critical rectangle" in err
+
+    def test_region_guard_is_exact(self, capsys):
+        # s rounds to 1.0 as a float, which would leave the rectangle
+        s = "99999999999999999999/100000000000000000000"
+        code, out, err = run(capsys, "moments", "--s", s, "--t", "2")
         assert code == 3
         assert out == ""
         assert "critical rectangle" in err
@@ -241,6 +251,42 @@ class TestProbeCommand:
 
     def test_bad_grid(self, capsys):
         assert run(capsys, "probe", "--s-grid", "1:2", "--t-grid", "1:1:1")[0] == 1
+
+    @pytest.mark.parametrize("grid", ["inf:inf:1", "nan:1:2"])
+    def test_non_finite_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "probe", "--s-grid", grid, "--t-grid", "1:1:1")
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+
+    def test_grid_is_exact(self, capsys):
+        code, out, _ = run(
+            capsys, "probe", "--s-grid", "0.1:3:30", "--t-grid", "1:1:1", "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines()[9].split(",")[0] == "0.9"
+
+
+class TestReadmeExamples:
+    """Each `freebessel ...` line of the README's command-line block runs and exits 0."""
+
+    def test_examples_run(self, capsys):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()
+                 if line.startswith("freebessel ")]
+        assert len(lines) == 8
+        for argv in lines:
+            if argv[1] == "mc":
+                # N = 256 takes about 6 s on two cores; TestMCCommand covers the dw model
+                continue
+            code, out, err = run(capsys, *argv[1:])
+            assert code == 0, (argv, err)
+            if "csv" in argv:
+                header = out.splitlines()[0]
+                assert header in ("x,density", "s,t,passed,failed_minor,failed_matrix")
+            else:
+                payload(out)
 
 
 class TestSizeBounds:

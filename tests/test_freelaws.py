@@ -404,6 +404,50 @@ class TestDensityGrid:
         assert len(csv.splitlines()) == 11
 
 
+# (s, t, failing H0 minor) at order 8 on the grid 0.1:3:30 x 0.1:6:30: inside the
+# rectangle, yet the old float eigenvalue test with tolerance 1e-10 passed them
+_FLOAT_MISSES = [
+    (F(3, 5), F(162, 145), 9),
+    (F(4, 5), F(383, 290), 8),
+    (F(9, 10), F(221, 145), 9),
+    (F(9, 10), F(501, 290), 7),
+]
+
+
+def _hankel(s, t, order, shift):
+    ms = [F(1)] + [moment(s, t, k) for k in range(1, 2 * order + 2)]
+    return [[ms[i + j + shift] for j in range(order + 1)] for i in range(order + 1)]
+
+
+def _leading_minors(h):
+    """det h[:k, :k] for k = 1..n, each by Fraction Gaussian elimination with row swaps."""
+    minors = []
+    for k in range(1, len(h) + 1):
+        a, det = [row[:k] for row in h[:k]], F(1)
+        for c in range(k):
+            p = next((r for r in range(c, k) if a[r][c] != 0), None)
+            if p is None:
+                det = F(0)
+                break
+            if p != c:
+                a[c], a[p], det = a[p], a[c], -det
+            det *= a[c][c]
+            for r in range(c + 1, k):
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+        minors.append(det)
+    return minors
+
+
+def _oracle(s, t, order):
+    """(matrix, size) of the first negative leading minor of H0, then H1."""
+    for name, shift in (("H0", 0), ("H1", 1)):
+        for k, det in enumerate(_leading_minors(_hankel(s, t, order, shift)), 1):
+            if det < 0:
+                return name, k
+    return None, None
+
+
 class TestExistenceProbe:
     def test_passes_in_defined_region(self):
         assert existence_probe(1, 2, 6).passed
@@ -425,3 +469,36 @@ class TestExistenceProbe:
     def test_report_dict(self):
         d = existence_probe(1, 1, 4).as_dict()
         assert d["passed"] is True and d["order"] == 4
+
+    def test_bernoulli_zero_pivots(self):
+        # s = 0 gives Bernoulli(t) moments m_k = t; the blocks are singular
+        # from minor 3 (H0) and minor 2 (H1), with zero rows left there
+        assert existence_probe(0, F(1, 2), 6).passed
+        assert existence_probe(0, 1, 6).passed
+        report = existence_probe(0, 2, 6)
+        assert (report.failed_matrix, report.failed_minor) == ("H0", 2)
+
+    @pytest.mark.parametrize(
+        "s, t, minor", [(F(1, 2), 2, 3), (F(3, 5), F(5, 2), 3), (F(4, 5), F(5, 2), 4)]
+    )
+    def test_zero_pivot_with_nonzero_row(self, s, t, minor):
+        # the leading minor before `minor` is 0 and its row is not: the next
+        # block holds [[0, b], [b, c]], b != 0, and is indefinite
+        minors = _leading_minors(_hankel(s, t, 6, 0))
+        assert minors[minor - 2] == 0 and minors[minor - 1] < 0
+        report = existence_probe(s, t, 6)
+        assert (report.failed_matrix, report.failed_minor) == ("H0", minor)
+
+    @pytest.mark.parametrize("s, t, minor", _FLOAT_MISSES)
+    def test_cells_the_float_test_passed(self, s, t, minor):
+        report = existence_probe(s, t, 8)
+        assert (report.failed_matrix, report.failed_minor) == ("H0", minor)
+
+    def test_matches_leading_minor_oracle(self):
+        cells = [(F(1 + i, 10), t, 6) for i in range(10)
+                 for t in (F(1, 2), 1, F(3, 2), 2, F(5, 2), 4, 5, 6)]
+        cells += [(s, t, 8) for s, t, _ in _FLOAT_MISSES]
+        for s, t, order in cells:
+            report = existence_probe(s, t, order)
+            assert (report.failed_matrix, report.failed_minor) == _oracle(s, t, order)
+
