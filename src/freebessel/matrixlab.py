@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,40 +58,65 @@ def _report(statistic: str, samples: Sequence[float], dim: int, seed: int) -> MC
     return MCReport(statistic, est, se, len(arr), dim, seed)
 
 
+def _check_mc_args(s: int, dim: int, trials: int, powers: Sequence[int] = (1,)) -> None:
+    """Refuse the inputs for which a Monte Carlo run gives no estimate."""
+    if not powers or min(s, dim, trials, *powers) < 1:
+        raise ValueError("s, N, trials and every power must be >= 1, with powers nonempty")
+
+
 def sample_ginibre(
     rows: int, cols: int, variance: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Complex Gaussian matrix with i.i.d. entries, E|g|^2 = variance."""
     if variance <= 0:
         raise ValueError("variance must be positive")
-    scale = math.sqrt(variance / 2)
-    return scale * (
-        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    )
+    g = np.empty((rows, cols), dtype=complex)
+    g.real = rng.standard_normal((rows, cols))
+    g.imag = rng.standard_normal((rows, cols))
+    g *= math.sqrt(variance / 2)
+    return g
 
 
-def product_model_mc(
-    s: int, N: int, k: int, trials: int, seed: int
-) -> MCReport:
-    """Mean of tr((M M*)^k) with M a product of s independent Ginibre matrices.
+def _trace_powers(A: np.ndarray, powers: Iterable[int]) -> dict[int, complex]:
+    """tr(A^m) for each m, with matrix products only up to A^ceil(max/2).
 
-    Spectral moments are taken by iterated matrix multiplication, never by
-    eigendecomposition.
+    tr(A^m) = sum_ij (A^a)_ij (A^b)_ji with a = ceil(m/2) and b = m - a in
+    {a, a - 1}, so only the current and the previous power are kept.
     """
-    if s < 1 or k < 1:
-        raise ValueError("s and k must be >= 1")
-    samples = []
+    traces: dict[int, complex] = {}
+    prev, cur, a_cur = A, A, 1  # cur = A^a_cur, prev = A^(a_cur - 1) once a_cur > 1
+    for m in sorted(set(powers)):
+        a = (m + 1) // 2
+        while a_cur < a:
+            prev, cur, a_cur = cur, cur @ A, a_cur + 1
+        B = cur if m == 2 * a else prev
+        traces[m] = complex(np.trace(A) if m == 1 else np.einsum("ij,ji->", cur, B))
+    return traces
+
+
+def product_model_mc(s: int, N: int, k: int, trials: int, seed: int) -> MCReport:
+    """Mean of tr((M M*)^k) with M a product of s independent Ginibre matrices."""
+    return product_model_mc_multi(s, N, [k], trials, seed)[k]
+
+
+def product_model_mc_multi(
+    s: int, N: int, powers: Sequence[int], trials: int, seed: int
+) -> dict[int, MCReport]:
+    """product_model_mc for several powers, drawing the s factors once per trial.
+
+    Traces come from matrix products, never from an eigendecomposition.
+    """
+    _check_mc_args(s, N, trials, powers)
+    samples: dict[int, list[float]] = {k: [] for k in powers}
     for i in range(trials):
         rng = _trial_rng(seed, i)
         M = sample_ginibre(N, N, 1.0 / N, rng)
         for _ in range(s - 1):
             M = M @ sample_ginibre(N, N, 1.0 / N, rng)
-        A = M @ M.conj().T
-        P = A
-        for _ in range(k - 1):
-            P = P @ A
-        samples.append(P.trace().real / N)
-    return _report(f"tr((MM*)^{k}), s={s}", samples, N, seed)
+        traces = _trace_powers(M @ M.conj().T, samples)
+        for k, vals in samples.items():
+            vals.append(traces[k].real / N)
+    return {k: _report(f"tr((MM*)^{k}), s={s}", v, N, seed) for k, v in samples.items()}
 
 
 def _dw_matrix(s: int, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,7 +126,7 @@ def _dw_matrix(s: int, N: int, rng: np.random.Generator) -> np.ndarray:
     W = G.conj().T @ G
     w = np.exp(2j * np.pi / s)
     d = np.repeat(w ** np.arange(s), N)
-    return d[:, None] * W
+    return np.multiply(d[:, None], W, out=W)
 
 
 def dw_model_mc(
@@ -112,11 +137,7 @@ def dw_model_mc(
     For s | m the estimates converge to the Fuss-Catalan moments; for s !| m
     they vanish in the limit.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
     m = power if power is not None else s * k
-    if m < 1:
-        raise ValueError("power must be >= 1")
     return dw_model_mc_multi(s, N, [m], trials, seed)[m]
 
 
@@ -124,21 +145,13 @@ def dw_model_mc_multi(
     s: int, N: int, powers: Sequence[int], trials: int, seed: int
 ) -> dict[int, MCReport]:
     """Like dw_model_mc but shares the per-trial matrices over several powers."""
-    m_max = max(powers)
+    _check_mc_args(s, N, trials, powers)
     samples: dict[int, list[float]] = {m: [] for m in powers}
     for i in range(trials):
-        rng = _trial_rng(seed, i)
-        DW = _dw_matrix(s, N, rng)
-        P = DW
-        for m in range(1, m_max + 1):
-            if m > 1:
-                P = P @ DW
-            if m in samples:
-                samples[m].append(P.trace().real / (s * N))
-    return {
-        m: _report(f"tr((DW)^{m}), s={s}", vals, N, seed)
-        for m, vals in samples.items()
-    }
+        traces = _trace_powers(_dw_matrix(s, N, _trial_rng(seed, i)), samples)
+        for m, vals in samples.items():
+            vals.append(traces[m].real / (s * N))
+    return {m: _report(f"tr((DW)^{m}), s={s}", v, N, seed) for m, v in samples.items()}
 
 
 # --- exact permutation sums -------------------------------------------------
@@ -226,6 +239,7 @@ def hns_character_mc(
     s-th-root-of-unity entries; the truncated character sums the diagonal
     entries with index <= floor(t n).
     """
+    _check_mc_args(s, n, trials)
     if not 0 < t <= 1:
         raise ValueError("t must be in (0, 1]")
     if n < 4:

@@ -30,7 +30,7 @@ from freebessel.matrixlab import (
     glm_eval,
     glm_exact,
     hns_character_mc,
-    product_model_mc,
+    product_model_mc_multi,
     weingarten_finite_n,
 )
 from freebessel.partitions import ColoredWord, enumerate_nc_s, fuss_catalan, star_moment
@@ -156,9 +156,10 @@ def test_07_random_matrices(verdict):
     for s in (1, 2, 3):
         rep_dw = dw_model_mc_multi(s, N=256, powers=[s * k for k in (1, 2, 3)],
                                    trials=100, seed=7)
+        rep_prod = product_model_mc_multi(s, N=256, powers=[1, 2, 3], trials=100, seed=7)
         for k in (1, 2, 3):
             target = float(fuss_catalan(s, k))
-            prod = product_model_mc(s, N=256, k=k, trials=100, seed=7)
+            prod = rep_prod[k]
             ok = ok and abs(prod.estimate - target) <= 3 * prod.std_error
             dw = rep_dw[s * k]
             ok = ok and abs(dw.estimate - target) <= 3 * dw.std_error

@@ -10,6 +10,7 @@ import pytest
 from freebessel.classical import bessel_law
 from freebessel.matrixlab import (
     _dw_matrix,
+    _trace_powers,
     _trial_rng,
     dw_model_mc,
     dw_model_mc_multi,
@@ -18,6 +19,7 @@ from freebessel.matrixlab import (
     glm_exact,
     hns_character_mc,
     product_model_mc,
+    product_model_mc_multi,
     sample_ginibre,
     splitmix64,
     weingarten_finite_n,
@@ -118,12 +120,90 @@ class TestGinibre:
         with pytest.raises(ValueError):
             sample_ginibre(2, 2, 0.0, _trial_rng(0, 0))
 
+    def test_bit_equal_to_scaled_sum(self):
+        rng = _trial_rng(6, 2)
+        scale = math.sqrt(0.3 / 2)
+        want = scale * (rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5)))
+        got = sample_ginibre(7, 5, 0.3, _trial_rng(6, 2))
+        assert got.tobytes() == want.tobytes()
+
+
+class CountingArray(np.ndarray):
+    """An array that counts the matrix products taken with it on the left."""
+
+    matmuls = 0
+
+    def __matmul__(self, other):
+        CountingArray.matmuls += 1
+        return super().__matmul__(other)
+
+
+def power_loop_traces(A: np.ndarray, m_max: int) -> list[complex]:
+    """The oracle for _trace_powers: tr(A^m), m = 1..m_max, by repeated products."""
+    P, out = A, []
+    for m in range(1, m_max + 1):
+        if m > 1:
+            P = P @ A
+        out.append(complex(P.trace()))
+    return out
+
+
+class TestTracePowers:
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_matches_power_loop(self, hermitian):
+        A = sample_ginibre(24, 24, 1.0 / 24, _trial_rng(31, int(hermitian)))
+        if hermitian:
+            A = A @ A.conj().T
+        powers = [7, 3, 12, 1, 3, 10, 2, 11, 5, 4, 9, 6, 8]  # unsorted, 3 twice
+        got = _trace_powers(A, powers)
+        assert sorted(got) == list(range(1, 13))
+        for m, want in enumerate(power_loop_traces(A, 12), start=1):
+            assert abs(got[m] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("powers", [[1], [2], [1, 2], [3], [4, 2], [3, 6, 9], [2, 4, 6],
+                                        [12, 1], [11]])
+    def test_products_up_to_half_the_largest_power(self, powers):
+        A = sample_ginibre(8, 8, 1.0, _trial_rng(32, 0)).view(CountingArray)
+        CountingArray.matmuls = 0
+        _trace_powers(A, powers)
+        assert CountingArray.matmuls == (max(powers) + 1) // 2 - 1
+
 
 class TestProductModel:
     @pytest.mark.parametrize("s,k", [(1, 1), (2, 2), (3, 2)])
     def test_limits(self, s, k):
         rep = product_model_mc(s, N=128, k=k, trials=60, seed=11)
         assert within_3se(rep, float(fuss_catalan(s, k)))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_multi_equals_single(self, s):
+        multi = product_model_mc_multi(s, N=16, powers=[1, 2, 3], trials=6, seed=18)
+        for k in (1, 2, 3):
+            assert multi[k] == product_model_mc(s, N=16, k=k, trials=6, seed=18)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: dw_model_mc_multi(2, 8, [2], 0, 1), id="dw trials 0"),
+    pytest.param(lambda: dw_model_mc_multi(2, 8, [0], 3, 1), id="dw power 0"),
+    pytest.param(lambda: dw_model_mc_multi(0, 8, [2], 3, 1), id="dw s 0"),
+    pytest.param(lambda: dw_model_mc_multi(2, 0, [2], 3, 1), id="dw N 0"),
+    pytest.param(lambda: dw_model_mc_multi(2, 8, [], 3, 1), id="dw no powers"),
+    pytest.param(lambda: dw_model_mc(2, 8, 0, 3, 1), id="dw single power 0"),
+    pytest.param(lambda: product_model_mc(2, 8, 2, 0, 1), id="product trials 0"),
+    pytest.param(lambda: product_model_mc(2, 8, 0, 3, 1), id="product k 0"),
+    pytest.param(lambda: product_model_mc_multi(2, 8, [1, 2], 0, 1), id="product multi trials 0"),
+    pytest.param(lambda: product_model_mc_multi(2, 8, [1, 0], 3, 1), id="product multi power 0"),
+    pytest.param(lambda: product_model_mc_multi(0, 8, [1], 3, 1), id="product multi s 0"),
+    pytest.param(lambda: product_model_mc_multi(2, 0, [1], 3, 1), id="product multi N 0"),
+    pytest.param(lambda: product_model_mc_multi(2, 8, [], 3, 1), id="product multi no powers"),
+    pytest.param(lambda: hns_character_mc(1, 8, 0.5, 0, 1, ColoredWord.from_string("u*")),
+                 id="character trials 0"),
+    pytest.param(lambda: hns_character_mc(0, 8, 0.5, 3, 1, ColoredWord.from_string("u*")),
+                 id="character s 0"),
+])
+def test_mc_refuses_inputs_without_an_estimate(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()
 
 
 class TestDWModel:
@@ -150,10 +230,9 @@ class TestDWModel:
         samples = []
         for i in range(trials):
             DW = _dw_matrix(s, N, _trial_rng(seed, i))
-            P = DW
-            for _ in range(m - 1):
-                P = P @ DW
-            samples.append(P.trace().real / (s * N))
+            loop = power_loop_traces(DW, m)[-1].real / (s * N)
+            samples.append(_trace_powers(DW, [m])[m].real / (s * N))
+            assert abs(samples[-1] - loop) <= 1e-12
         rep = dw_model_mc(s, N, k=0, trials=trials, seed=seed, power=m)
         assert rep.estimate == float(np.mean(samples))
         assert rep.std_error == float(np.std(samples, ddof=1) / math.sqrt(trials))
@@ -161,7 +240,15 @@ class TestDWModel:
     def test_multi_matches_single(self):
         multi = dw_model_mc_multi(2, N=32, powers=[2, 4], trials=20, seed=16)
         single = dw_model_mc(2, N=32, k=2, trials=20, seed=16)
-        assert multi[4].estimate == pytest.approx(single.estimate)
+        assert multi[4].estimate == single.estimate
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_dw_matrix_bit_equal_to_scaled_wishart(self, s):
+        N = 5
+        G = sample_ginibre(s * N, s * N, 1.0 / (s * N), _trial_rng(19, s))
+        d = np.repeat(np.exp(2j * np.pi / s) ** np.arange(s), N)
+        want = d[:, None] * (G.conj().T @ G)
+        assert _dw_matrix(s, N, _trial_rng(19, s)).tobytes() == want.tobytes()
 
 
 class TestGLMExact:
