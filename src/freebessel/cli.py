@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -166,15 +167,13 @@ def cmd_density(args, started: float) -> str:
     s, t = _rational(args.s), _rational(args.t)
     if s.denominator != 1 or s < 1 or t <= 0:
         raise UsageError("density needs integer s >= 1 and t > 0")
-    grid = density_grid(int(s), float(t), n_points=args.grid_points)
-    quad = quadrature_moments(int(s), float(t), args.k)
+    grid = replace(density_grid(int(s), float(t), n_points=args.grid_points),
+                   quadrature_moments=quadrature_moments(int(s), float(t), args.k)[1:])
     if args.format == "csv":
         return grid.to_csv()
     config = {"command": "density", "s": s, "t": t, "grid_points": args.grid_points,
               "k": args.k}
-    results = grid.as_dict()
-    results["quadrature_moments"] = list(quad[1:])
-    return _report(config, results, started)
+    return _report(config, grid.as_dict(), started)
 
 
 def cmd_partitions(args, started: float) -> str:

@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .partitions import fuss_narayana_poly
 from .series import (
     MomentSequence,
+    _over_common_denominator,
     bernoulli_moments,
     boxplus_power,
     boxtimes_power,
@@ -43,10 +44,14 @@ def moment(s, t, k: int) -> Fraction:
 
 @lru_cache(maxsize=65536)
 def _moment_cached(s: Fraction, t: Fraction, k: int) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(fuss_narayana_poly(s, k)):
-        total = total * t + c
-    return total
+    # homogeneous Horner in integers: with t = a/b and c_j = n_j/d, the moment
+    # is sum_j n_j a^j b^(k-j) / (d b^k)
+    nums, d = _over_common_denominator(fuss_narayana_poly(s, k))
+    a, b = t.numerator, t.denominator
+    total = 0
+    for j, c in enumerate(reversed(nums)):
+        total = total * a + c * b**j
+    return Fraction(total, d * b**k)
 
 
 def moments_via_series(s, t, order: int) -> MomentSequence:
@@ -318,9 +323,9 @@ def existence_probe(s, t, order: int = 6) -> ProbeReport:
     that b enters, since that block then holds [[0, b], [b, c]].
     """
     n = order + 1
-    ms = [Fraction(1)] + [moment(s, t, k) for k in range(1, 2 * order + 2)]
-    scale = lcm(*(m.denominator for m in ms))
-    ints = [m.numerator * (scale // m.denominator) for m in ms]
+    ints, _ = _over_common_denominator(
+        [Fraction(1)] + [moment(s, t, k) for k in range(1, 2 * order + 2)]
+    )
     for name, shift in (("H0", 0), ("H1", 1)):
         rows, prev, bound = [ints[i + shift:i + shift + n] for i in range(n)], 1, n + 1
         for j in range(1, n + 1):

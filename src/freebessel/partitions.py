@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 DEFAULT_ENUM_BOUND = 14
 
@@ -66,55 +66,38 @@ def is_noncrossing(p: SetPartition) -> bool:
     return True
 
 
-def _enum_nc(
-    lo: int, hi: int, weight: tuple[int, ...], s: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Noncrossing partitions of the points lo..hi-1 whose blocks weigh 0 mod s.
-
-    ``weight[x]`` is the weight of point x; the caller ensures that the
-    points' total weight is 0 mod s.  First-block decomposition: the block
-    containing the least point is chosen as an increasing subsequence; the
-    gaps it leaves are partitioned independently, so a gap whose weight is
-    not 0 mod s is pruned.  Blocks come out in canonical order.
-    """
-    if lo == hi:
-        yield ()
-        return
-    yield from _grow_block((lo,), weight[lo], lo + 1, hi, weight, s)
-
-
-def _grow_block(
-    block: tuple[int, ...],
-    block_weight: int,
-    lo: int,
-    hi: int,
-    weight: tuple[int, ...],
-    s: int,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if block_weight % s == 0:
-        for tail in _enum_nc(lo, hi, weight, s):
-            yield (block,) + tail
-    gap_weight = 0
-    for nxt in range(lo, hi):
-        if gap_weight % s == 0:
-            for gap_part in _enum_nc(lo, nxt, weight, s):
-                for res in _grow_block(
-                    block + (nxt,), block_weight + weight[nxt], nxt + 1, hi, weight, s
-                ):
-                    yield (res[0],) + gap_part + res[1:]
-        gap_weight += weight[nxt]
-
-
 def _enumerate_weighted(weights: tuple[int, ...], s: int) -> list[SetPartition]:
     """Noncrossing partitions of {1..m} whose blocks weigh 0 mod s.
 
-    Point x weighs ``weights[x - 1]``.
+    Point x weighs ``weights[x - 1]``.  First-block decomposition over a table
+    built once per call: ``parts(lo, hi, r)`` holds the partitions of the points
+    lo..hi-1 in which lo's block weighs r mod s and every other block 0.  Either
+    lo closes its block, or the block goes on at some nxt: the gap lo+1..nxt-1
+    is partitioned on its own (pruned unless it weighs 0 mod s) and nxt's block
+    must weigh r - weight(lo).  Blocks come out in canonical order.
     """
     m = len(weights)
     if sum(weights) % s:
         return []
     weight = (0,) + weights
-    return [SetPartition(m, blocks) for blocks in _enum_nc(1, m + 1, weight, s)]
+
+    @cache
+    def parts(lo: int, hi: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
+        if lo == hi:
+            return [()] if r == 0 else []
+        r_next = (r - weight[lo]) % s
+        out = [((lo,),) + rest for rest in parts(lo + 1, hi, 0)] if r_next == 0 else []
+        gap_weight = 0
+        for nxt in range(lo + 1, hi):
+            if gap_weight % s == 0 and (tails := parts(nxt, hi, r_next)):
+                out += [((lo,) + tail[0],) + gap + tail[1:]
+                        for gap in parts(lo + 1, nxt, 0) for tail in tails]
+            gap_weight += weight[nxt]
+        return out
+
+    found = [SetPartition(m, blocks) for blocks in parts(1, m + 1, 0)]
+    parts.cache_clear()  # parts refers to itself: free the table now, not at the next full collection
+    return found
 
 
 def enumerate_nc_s(s: int, k: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetPartition]:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import Iterable
 
 DEFAULT_ORDER = 16
@@ -17,6 +18,12 @@ DEFAULT_ORDER = 16
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integers n_i and the least common denominator d of the rationals, with values[i] = n_i/d."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 @dataclass(frozen=True)
@@ -59,15 +66,15 @@ class RationalSeries:
 
     def __mul__(self, other) -> "RationalSeries":
         if isinstance(other, RationalSeries):
+            # Cauchy product of integer numerators, one Fraction per coefficient
             n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                ci = self.coeffs[i]
-                if ci == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    out[i + j] += ci * other.coeffs[j]
-            return RationalSeries(tuple(out), n)
+            a, da = _over_common_denominator(self.coeffs[: n + 1])
+            b, db = _over_common_denominator(other.coeffs[: n + 1])
+            return RationalSeries(
+                tuple(Fraction(sum(map(mul, a[: k + 1], b[k::-1])), da * db)
+                      for k in range(n + 1)),
+                n,
+            )
         c = _frac(other)
         return RationalSeries(tuple(c * x for x in self.coeffs), self.order)
 

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -287,6 +290,17 @@ class TestReadmeExamples:
                 assert header in ("x,density", "s,t,passed,failed_minor,failed_matrix")
             else:
                 payload(out)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_from_checkout(self):
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "freebessel", "--version"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == cli.__version__
 
 
 class TestSizeBounds:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freebessel.freelaws import (
     _curve,
@@ -113,6 +115,45 @@ def graded_path(s: int, t: float) -> np.ndarray:
     mid = 0.5 * (a + b)
     g = np.geomspace(1e-12, 1, 240)
     return np.concatenate([a + (mid - a) * g, b - (b - mid) * g])
+
+
+def fraction_horner(s, t, k: int) -> Fraction:
+    """The Fraction Horner that the integer kernel replaced: the oracle for moment()."""
+    total = Fraction(0)
+    for c in reversed(fuss_narayana_poly(Fraction(s), k)):
+        total = total * Fraction(t) + c
+    return total
+
+
+class TestMomentKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([1, 2, 3, F(5, 2), F(1, 3), F(7, 3), 0.9]),
+            st.fractions(min_value=F(1, 10), max_value=6, max_denominator=12),
+        ),
+        st.one_of(
+            st.just(0),
+            st.fractions(min_value=-5, max_value=5, max_denominator=1000),
+            st.floats(min_value=-5, max_value=5, allow_nan=False),
+        ),
+        st.integers(min_value=1, max_value=17),
+    )
+    def test_matches_fraction_horner(self, s, t, k):
+        value = moment(s, t, k)
+        assert type(value) is Fraction
+        assert value == fraction_horner(s, t, k)
+
+    @pytest.mark.parametrize("s", [1, 3, F(5, 2), F(1, 3)])
+    @pytest.mark.parametrize("t", [0, 0.0, 0.3, 1e-3, -0.75, F(-3, 7), F(1, 2), 7])
+    def test_cases(self, s, t):
+        for k in range(1, 18):
+            assert moment(s, t, k) == fraction_horner(s, t, k)
+
+    def test_zero_and_negative_t(self):
+        assert moment(F(5, 2), 0, 6) == 0
+        assert moment(2, -1, 2) == -1 + 2  # t + 2t^2 at t = -1
+        assert moment(1, 0.5, 3) == F(1, 2) + 3 * F(1, 4) + F(1, 8)
 
 
 class TestMoment:

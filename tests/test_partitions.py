@@ -20,6 +20,7 @@ from freebessel.partitions import (
     fuss_catalan,
     fuss_narayana_poly,
     is_noncrossing,
+    _enumerate_weighted,
     join,
     star_moment,
 )
@@ -53,6 +54,40 @@ def _grow_first_block(block: tuple[int, ...], rest: tuple[int, ...]):
         for gap_part in nc_by_first_block(rest[:j]):
             for res in _grow_first_block(block + (nxt,), rest[j + 1:]):
                 yield (res[0],) + gap_part + res[1:]
+
+
+def _enum_nc(lo, hi, weight, s):
+    """Noncrossing partitions of the points lo..hi-1 whose blocks weigh 0 mod s.
+
+    The recursive generator walk that the interval table of
+    ``_enumerate_weighted`` replaced: the oracle for its lists and their order.
+    """
+    if lo == hi:
+        yield ()
+        return
+    yield from _grow_block((lo,), weight[lo], lo + 1, hi, weight, s)
+
+
+def _grow_block(block, block_weight, lo, hi, weight, s):
+    if block_weight % s == 0:
+        for tail in _enum_nc(lo, hi, weight, s):
+            yield (block,) + tail
+    gap_weight = 0
+    for nxt in range(lo, hi):
+        if gap_weight % s == 0:
+            for gap_part in _enum_nc(lo, nxt, weight, s):
+                for res in _grow_block(
+                    block + (nxt,), block_weight + weight[nxt], nxt + 1, hi, weight, s
+                ):
+                    yield (res[0],) + gap_part + res[1:]
+        gap_weight += weight[nxt]
+
+
+def weighted_walk(weights: tuple[int, ...], s: int) -> list[SetPartition]:
+    m = len(weights)
+    if sum(weights) % s:
+        return []
+    return [SetPartition(m, b) for b in _enum_nc(1, m + 1, (0,) + weights, s)]
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +276,36 @@ class TestBalanced:
             word = ColoredWord(tuple(rng.choice((1, -1)) for _ in range(rng.randint(7, 10))))
             for s in range(1, 5):
                 assert enumerate_balanced(s, word) == balanced_by_filter(s, word)
+
+
+class TestWeightedTable:
+    """The interval table gives the generator walk's lists, in the walk's order."""
+
+    @pytest.mark.parametrize("length", range(9))
+    def test_every_short_word(self, length):
+        for letters in itertools.product((1, -1), repeat=length):
+            for s in range(1, 5):
+                assert _enumerate_weighted(letters, s) == weighted_walk(letters, s)
+
+    def test_random_words(self):
+        rng = random.Random(71)
+        # the walk reads weights only mod s (at s = 1 only the length), so equal
+        # residues share one walk; its blocks are kept, not SetPartition objects
+        walks = {}
+        for _ in range(40):
+            letters = tuple(rng.choice((1, -1)) for _ in range(rng.randint(9, 12)))
+            for s in range(1, 5):
+                key = (tuple(x % s for x in letters), s)
+                if key not in walks:
+                    walks[key] = [p.blocks for p in weighted_walk(letters, s)]
+                found = _enumerate_weighted(letters, s)
+                assert {p.ground_size for p in found} <= {len(letters)}
+                assert [p.blocks for p in found] == walks[key]
+
+    def test_nc_s(self):
+        for s in range(1, 13):
+            for k in range(0, 12 // s + 1):
+                assert enumerate_nc_s(s, k) == weighted_walk((1,) * (s * k), s)
 
 
 class TestStarMoment:

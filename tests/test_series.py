@@ -88,6 +88,46 @@ def revert_newton(g: RationalSeries) -> RationalSeries:
     return x
 
 
+def schoolbook_product(f: RationalSeries, g: RationalSeries) -> RationalSeries:
+    """The Fraction Cauchy product that the integer kernel replaced: the oracle for f * g."""
+    n = min(f.order, g.order)
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        ci = f.coeffs[i]
+        if ci == 0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += ci * g.coeffs[j]
+    return RationalSeries(tuple(out), n)
+
+
+# wider than small_fractions, and zero as often as not
+product_coeffs = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+)
+
+
+def any_order_series(max_order):
+    return st.lists(product_coeffs, min_size=1, max_size=max_order + 1).map(
+        RationalSeries.from_coeffs
+    )
+
+
+class TestProduct:
+    @settings(max_examples=100, deadline=None)
+    @given(any_order_series(12), any_order_series(12))
+    def test_matches_schoolbook(self, f, g):
+        product = f * g
+        assert product == schoolbook_product(f, g)
+        assert all(type(c) is F for c in product.coeffs)
+
+    def test_order_zero_and_unequal_orders(self):
+        assert series(F(-2, 3)) * series(F(9, 4), 5, 7) == series(F(-3, 2))
+        assert series(0, order=3) * series(F(1, 2), 1) == series(0, 0)
+        f, g = series(F(1, 2), F(-1, 3), 0, F(5, 7)), series(3, F(1, 6), order=6)
+        assert f * g == schoolbook_product(f, g) == series(F(3, 2), F(-11, 12), F(-1, 18), F(15, 7))
+
+
 NC_ORACLE_MAX = 10
 # block-size multisets of NC(n) with their multiplicities, n = 1..NC_ORACLE_MAX
 NC_BLOCK_TYPES = {
