@@ -14,13 +14,13 @@ from freebessel.partitions import (
     ColoredWord,
     EnumerationBoundError,
     SetPartition,
+    _enumerate_weighted,
     enumerate_balanced,
     enumerate_nc,
     enumerate_nc_s,
     fuss_catalan,
     fuss_narayana_poly,
     is_noncrossing,
-    _enumerate_weighted,
     join,
     star_moment,
 )
@@ -289,18 +289,14 @@ class TestWeightedTable:
 
     def test_random_words(self):
         rng = random.Random(71)
-        # the walk reads weights only mod s (at s = 1 only the length), so equal
-        # residues share one walk; its blocks are kept, not SetPartition objects
-        walks = {}
+        walks = {}  # the walk reads weights only mod s: at s = 1 it depends on the length
         for _ in range(40):
             letters = tuple(rng.choice((1, -1)) for _ in range(rng.randint(9, 12)))
             for s in range(1, 5):
                 key = (tuple(x % s for x in letters), s)
                 if key not in walks:
-                    walks[key] = [p.blocks for p in weighted_walk(letters, s)]
-                found = _enumerate_weighted(letters, s)
-                assert {p.ground_size for p in found} <= {len(letters)}
-                assert [p.blocks for p in found] == walks[key]
+                    walks[key] = weighted_walk(letters, s)
+                assert _enumerate_weighted(letters, s) == walks[key]
 
     def test_nc_s(self):
         for s in range(1, 13):
