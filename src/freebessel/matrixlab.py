@@ -1,4 +1,4 @@
-"""Random-matrix and character models, exact permutation sums, Weingarten checks.
+"""Random-matrix and character models, exact expected traces, Weingarten checks.
 
 Monte Carlo runs are reproducible: trial i draws from a generator seeded by
 splitmix64(seed, i), and results are accumulated in trial order.
@@ -6,7 +6,6 @@ splitmix64(seed, i), and results are accumulated in trial order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,40 +153,62 @@ def dw_model_mc_multi(
     return {m: _report(f"tr((DW)^{m}), s={s}", v, N, seed) for m, v in samples.items()}
 
 
-# --- exact permutation sums -------------------------------------------------
+# --- exact expected traces from hook characters ----------------------------
 
 
-def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        out.append(length)
-    return out
+GLM_MAX_K = 20
 
 
-GLM_MAX_K = 8
+def _class_sums(K: int, step: int) -> dict[int, list[int]]:
+    """{l: sum of |C_lambda| prod_i (1 - (-y)^lambda_i)} over lambda |- K with l parts.
+
+    Only cycle types whose parts are all multiples of ``step`` are summed; the
+    values are coefficient lists in y.  A depth-first walk over the parts in
+    non-increasing order extends the product one factor per part, and tracks
+    z_lambda = prod_i i^(m_i) m_i!, so |C_lambda| = K!/z_lambda.
+    """
+    fact = math.factorial(K)
+    sums: dict[int, list[int]] = {}
+
+    def walk(rest: int, top: int, poly: list[int], length: int, z: int, mult: int) -> None:
+        if rest == 0:
+            acc = sums.setdefault(length, [0] * (K + 1))
+            size = fact // z
+            for i, c in enumerate(poly):
+                acc[i] += size * c
+            return
+        for part in range(min(rest, top) // step * step, 0, -step):
+            times = mult + 1 if part == top else 1
+            sign = -1 if part % 2 else 1
+            nxt = poly[:]
+            for i in range(part, K + 1):
+                nxt[i] -= sign * poly[i - part]
+            walk(rest - part, part, nxt, length + 1, z * part * times, times)
+
+    walk(K, K, [1] + [0] * K, 0, 1, 0)
+    return sums
 
 
 def glm_exact(
     K: int, s: int | None = None, d_spec: str = "identity"
 ) -> dict[int, Fraction]:
-    """Exact E tr((DW)^K) as a Laurent polynomial in 1/M, by the permutation sum.
+    """Exact E tr((DW)^K) as a Laurent polynomial in 1/M, by the hook-character sum.
 
     For ``d_spec="identity"`` the result is the normalized Wishart trace
     E tr(W^K) as {exponent: coefficient} in 1/M.  For ``d_spec="roots"`` (with
     block size s), only permutations with all cycle lengths divisible by s
     survive, M = sN, and the constant term equals #NC_s(K/s).
+
+    sigma contributes M^(#cycles(sigma) + #cycles(sigma^-1 pi) - K - 1), pi the
+    full cycle.  Over a class C_lambda, sum q^#cycles(sigma^-1 pi) is
+    |C_lambda|/K! sum_r (-1)^r chi_r(lambda) prod_{c=-r}^{K-r-1} (q + c), with
+    chi_r the character of the hook (K-r, 1^r): only hooks are nonzero on pi.
+    chi_r(lambda) is the y^r coefficient of prod_i (1 - (-y)^lambda_i)/(1 + y)
+    (Zagier 1995; Stanley 2011).  The classes are summed per cycle count
+    before the hook sum, in integers, and divided by K! once.
     """
     if K > GLM_MAX_K:
-        raise EnumerationBoundError(f"K = {K} exceeds the brute-force bound {GLM_MAX_K}")
+        raise EnumerationBoundError(f"K = {K} exceeds the hook-character bound {GLM_MAX_K}")
     if K < 1:
         raise ValueError("K must be >= 1")
     if d_spec not in ("identity", "roots"):
@@ -197,18 +218,32 @@ def glm_exact(
             raise ValueError("roots spec needs s >= 1")
         if K % s != 0:
             raise ValueError("roots spec needs s | K")
-    poly: dict[int, int] = {}
-    for perm in itertools.permutations(range(K)):
-        lengths = _cycle_lengths(perm)
-        if d_spec == "roots" and any(l % s for l in lengths):
-            continue
-        # sigma^-1 pi (pi the full cycle i -> i+1) has as many cycles as its
-        # conjugate-inverse sigma pi^-1, which is perm rotated by one place
-        gamma_rel = len(_cycle_lengths(perm[-1:] + perm[:-1]))
-        # r_sigma(D) = M^gamma(sigma) for both specs (Tr D^p = M when it survives)
-        exponent = gamma_rel + len(lengths) - K - 1  # normalized-trace exponent
-        poly[exponent] = poly.get(exponent, 0) + 1
-    return {e: Fraction(c) for e, c in sorted(poly.items(), reverse=True)}
+    # content polynomials of the hooks, coefficient lists in q
+    contents = []
+    for r in range(K):
+        poly = [1]
+        for c in range(-r, K - r):
+            poly = [a * c + b for a, b in zip(poly + [0], [0] + poly)]
+        contents.append(poly)
+    total: dict[int, int] = {}
+    for length, sums in _class_sums(K, s if d_spec == "roots" else 1).items():
+        chi = [sums[0]]  # divide by 1 + y
+        for a in sums[1:K]:
+            chi.append(a - chi[-1])
+        assert sums[K] == chi[-1], "1 + y divides the class sum"
+        for r, c_r in enumerate(chi):
+            weight = -c_r if r % 2 else c_r
+            for j, coeff in enumerate(contents[r]):
+                e = j + length - K - 1
+                total[e] = total.get(e, 0) + weight * coeff
+    fact = math.factorial(K)
+    out = {}
+    for e in sorted(total, reverse=True):
+        count, rem = divmod(total[e], fact)
+        assert rem == 0, "K! divides the class-weighted hook sum"
+        if count:
+            out[e] = Fraction(count)
+    return out
 
 
 def glm_eval(poly: dict[int, Fraction], M: float) -> float:

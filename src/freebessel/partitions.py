@@ -6,6 +6,7 @@ polynomial coefficients are ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -95,9 +96,16 @@ def _enumerate_weighted(weights: tuple[int, ...], s: int) -> list[SetPartition]:
             gap_weight += weight[nxt]
         return out
 
-    found = [SetPartition(m, blocks) for blocks in parts(1, m + 1, 0)]
-    parts.cache_clear()  # parts refers to itself: free the table now, not at the next full collection
-    return found
+    # the table and the list add no reference cycles, yet the cyclic collector
+    # would scan them as they grow: pause it, then restore the caller's setting
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return [SetPartition(m, blocks) for blocks in parts(1, m + 1, 0)]
+    finally:
+        parts.cache_clear()  # parts refers to itself: free the table now, not at the next full collection
+        if collecting:
+            gc.enable()
 
 
 def enumerate_nc_s(s: int, k: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetPartition]:

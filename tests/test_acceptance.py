@@ -179,8 +179,8 @@ def test_07_random_matrices(verdict):
 def test_08_geodesic_correspondence(verdict):
     ok = True
     for s in (1, 2, 3):
-        for k in range(1, 9):
-            if s * k > 8:
+        for k in range(1, 21):
+            if s * k > 20:
                 break
             ok = ok and geodesic_count(s, k) == fuss_catalan(s, k)
     verdict(8, "geodesic permutation counts equal the Fuss-Catalan numbers", ok)

@@ -198,6 +198,11 @@ class TestGLMCommand:
         results = payload(out)["results"]
         assert results["constant_term"] == "3/1"
 
+    def test_largest_K(self, capsys):
+        code, out, _ = run(capsys, "glm", "--K", "20")
+        assert code == 0
+        assert payload(out)["results"]["constant_term"] == "6564120420/1"
+
     def test_format_flag_rejected(self, capsys):
         code, out, err = run(capsys, "glm", "--K", "6", "--format", "csv")
         assert code == 1
@@ -307,7 +312,7 @@ class TestSizeBounds:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["glm", "--K", "9"],
+            ["glm", "--K", "21"],
             ["partitions", "--s", "1", "--k", "20"],
             ["weingarten", "--s", "1", "--word", "u" * 15, "--n", "8"],
         ],

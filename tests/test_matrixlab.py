@@ -71,6 +71,37 @@ def geodesic_walk(s: int, k: int) -> int:
     return count
 
 
+def glm_walk(K: int, s: int | None = None, d_spec: str = "identity") -> dict[int, Fraction]:
+    """The oracle for glm_exact: a walk over every permutation of S_K.
+
+    sigma adds M^(#cycles(sigma) + #cycles(sigma^-1 pi) - K - 1); for "roots"
+    only sigma with every cycle length divisible by s count.
+    """
+    poly: dict[int, int] = {}
+    for perm in itertools.permutations(range(K)):
+        lengths = cycle_lengths(perm)
+        if d_spec == "roots" and any(length % s for length in lengths):
+            continue
+        # sigma^-1 pi (pi the full cycle i -> i+1) has as many cycles as its
+        # conjugate-inverse sigma pi^-1, which is perm rotated by one place
+        gamma_rel = len(cycle_lengths(perm[-1:] + perm[:-1]))
+        exponent = gamma_rel + len(lengths) - K - 1
+        poly[exponent] = poly.get(exponent, 0) + 1
+    return {e: Fraction(c) for e, c in sorted(poly.items(), reverse=True)}
+
+
+def divisible_cycle_count(n: int, s: int) -> int:
+    """#{sigma in S_n: every cycle length divisible by s}, by the cycle of n.
+
+    a(n) = sum over L = s, 2s, ... <= n of (n-1)!/(n-L)! a(n-L): choose the
+    other L - 1 points of n's cycle in order.
+    """
+    a = [1] + [0] * n
+    for m in range(1, n + 1):
+        a[m] = sum(math.perm(m - 1, L - 1) * a[m - L] for L in range(s, m + 1, s))
+    return a[n]
+
+
 def within_3se(report, target):
     return abs(report.estimate - target) <= 3 * report.std_error
 
@@ -263,6 +294,13 @@ class TestGLMExact:
         assert poly[0] == 3
         assert all(e <= 0 for e in poly)
 
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_matches_permutation_walk(self, K):
+        cases = [(None, "identity")] + [(s, "roots") for s in range(1, K + 1) if K % s == 0]
+        for s, d_spec in cases:
+            got, want = glm_exact(K, s, d_spec), glm_walk(K, s, d_spec)
+            assert got == want and list(got) == list(want)
+
     def test_constant_terms_count_partitions(self):
         for s in (1, 2, 3):
             for k in range(1, 9):
@@ -272,11 +310,33 @@ class TestGLMExact:
                 assert poly.get(0, Fraction(0)) == len(enumerate_nc_s(s, k))
                 assert all(e <= 0 for e in poly)
 
+    @pytest.mark.parametrize("K", range(9, 21))
+    def test_above_the_walk(self, K):
+        identity = glm_exact(K)
+        assert sum(identity.values()) == math.factorial(K)
+        polys = [identity]
+        for s in (s for s in range(1, K + 1) if K % s == 0):
+            poly = glm_exact(K, s, "roots")
+            assert poly[0] == fuss_catalan(s, K // s)
+            assert sum(poly.values()) == divisible_cycle_count(K, s)
+            polys.append(poly)
+        for poly in polys:
+            assert all(e <= 0 and e % 2 == 0 for e in poly)
+            assert all(c != 0 and c.denominator == 1 for c in poly.values())
+            assert list(poly) == sorted(poly, reverse=True)
+
+    def test_k20_constant_term(self):
+        assert glm_exact(20)[0] == 6_564_120_420
+
+    def test_recurrence_counts_small_cases(self):
+        assert [divisible_cycle_count(n, 1) for n in range(6)] == [1, 1, 2, 6, 24, 120]
+        assert [divisible_cycle_count(n, 2) for n in (2, 4, 6)] == [1, 9, 225]
+
     def test_bound(self):
         with pytest.raises(EnumerationBoundError):
-            glm_exact(9)
+            glm_exact(21)
         with pytest.raises(EnumerationBoundError):
-            geodesic_count(3, 3)
+            geodesic_count(3, 7)
 
     def test_roots_requires_divisibility(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Exact combinatorics: noncrossing enumeration, counting formulas, balance, join."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freebessel import partitions
 from freebessel.partitions import (
     ColoredWord,
     EnumerationBoundError,
@@ -302,6 +304,55 @@ class TestWeightedTable:
         for s in range(1, 13):
             for k in range(0, 12 // s + 1):
                 assert enumerate_nc_s(s, k) == weighted_walk((1,) * (s * k), s)
+
+
+@pytest.fixture
+def collector():
+    """Yields a setter for the collector's state, and restores the state found."""
+    found = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if found:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """The enumeration pauses the cyclic collector and gives the caller its state back."""
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_lists_unchanged_and_state_restored(self, collector, on):
+        collector(on)
+        assert enumerate_nc_s(2, 5) == weighted_walk((1,) * 10, 2)
+        assert gc.isenabled() is on
+        word = ColoredWord.from_string("uu*u**")
+        assert enumerate_balanced(2, word) == weighted_walk(word.signs, 2)
+        assert gc.isenabled() is on
+
+    def test_paused_while_building(self, collector, monkeypatch):
+        collector(True)
+        seen = []
+
+        def record(m, blocks):
+            seen.append(gc.isenabled())
+            return SetPartition(m, blocks)
+
+        monkeypatch.setattr(partitions, "SetPartition", record)
+        assert len(enumerate_nc_s(1, 4)) == 14
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_state_restored_on_error(self, collector, monkeypatch, on):
+        collector(on)
+
+        def fail(m, blocks):
+            raise RuntimeError("no partition")
+
+        monkeypatch.setattr(partitions, "SetPartition", fail)
+        with pytest.raises(RuntimeError):
+            enumerate_nc_s(1, 4)
+        assert gc.isenabled() is on
 
 
 class TestStarMoment:
