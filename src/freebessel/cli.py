@@ -63,6 +63,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(floor: int):
+    """argparse type: an integer >= floor."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        if int(text) < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {text}")
+        return int(text)
+    return integer
+
+
+def _word(text: str) -> ColoredWord:
+    try:
+        return ColoredWord.from_string(text)
+    except ValueError as exc:  # argparse would print the text but not this message
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -76,6 +92,8 @@ def _fmt(value):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         return value
+    if isinstance(value, ColoredWord):
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     if isinstance(value, dict):
@@ -135,8 +153,8 @@ def _report(config: dict, results, started: float) -> str:
 
 def cmd_moments(args, started: float) -> str:
     s, t = _rational(args.s), _rational(args.t)
-    if s <= 0 or t <= 0 or args.k < 1:
-        raise UsageError("need s,t > 0 and k >= 1")
+    if s <= 0 or t <= 0:
+        raise UsageError("need s,t > 0")
     _guard_region(s, t, args.force)
     order = max(args.order, args.k)
     series = None
@@ -151,9 +169,7 @@ def cmd_moments(args, started: float) -> str:
             row["series"] = series[k]
             agree = agree and series[k] == closed
         if s.denominator == 1 and int(s) * k <= DEFAULT_ENUM_BOUND:
-            part = sum(
-                (t ** p.block_count for p in enumerate_nc_s(int(s), k)), Fraction(0)
-            )
+            part = star_moment(int(s), t, ColoredWord.same_color(int(s) * k))
             row["partitions"] = part
             agree = agree and part == closed
         row["agree"] = agree
@@ -178,13 +194,10 @@ def cmd_density(args, started: float) -> str:
 
 def cmd_partitions(args, started: float) -> str:
     s = args.s
-    if s < 1:
-        raise UsageError("s must be >= 1")
     config: dict = {"command": "partitions", "s": s}
     if args.word is not None:
-        word = ColoredWord.from_string(args.word)
         t = _rational(args.t)
-        parts = enumerate_balanced(s, word)
+        parts = enumerate_balanced(s, args.word)
         results = {
             "word": args.word,
             "count": len(parts),
@@ -212,21 +225,16 @@ def cmd_partitions(args, started: float) -> str:
 
 
 def cmd_mc(args, started: float) -> str:
-    if args.trials < 1 or args.dim < 1:
-        raise UsageError("trials and dim must be >= 1")
     if args.model == "product":
         rep = product_model_mc(args.s, args.dim, args.k, args.trials, args.seed)
     elif args.model == "dw":
         rep = dw_model_mc(args.s, args.dim, args.k, args.trials, args.seed,
                           power=args.power)
     else:  # character
-        if args.word is None:
-            raise UsageError("character model needs --word")
-        t = float(_rational(args.t))
-        rep = hns_character_mc(
-            args.s, args.dim, t, args.trials, args.seed,
-            ColoredWord.from_string(args.word),
-        )
+        t = _rational(args.t)
+        if args.word is None or args.dim < 4 or not 0 < t <= 1:
+            raise UsageError("character model needs --word, dim >= 4 and t in (0, 1]")
+        rep = hns_character_mc(args.s, args.dim, float(t), args.trials, args.seed, args.word)
     config = {"command": "mc", "model": args.model, "s": args.s, "k": args.k,
               "dim": args.dim, "trials": args.trials, "seed": args.seed,
               "t": args.t, "word": args.word, "power": args.power}
@@ -248,10 +256,8 @@ def cmd_glm(args, started: float) -> str:
 
 def cmd_classical(args, started: float) -> str:
     t = float(_rational(args.t))
-    if args.s < 1 or t <= 0:
-        raise UsageError("need integer s >= 1 and t > 0")
-    if args.p_max is not None and args.p_max < 1:
-        raise UsageError("p_max must be >= 1")
+    if t <= 0:
+        raise UsageError("need t > 0")
     m = bessel_law(args.s, t, p_max=args.p_max)
     if args.pushforward:
         m = power_pushforward(m, args.s)
@@ -265,11 +271,12 @@ def cmd_classical(args, started: float) -> str:
 
 def cmd_weingarten(args, started: float) -> str:
     t = _rational(args.t)
-    word = ColoredWord.from_string(args.word)
-    value = weingarten_finite_n(args.s, word, args.n, float(t))
+    if not 0 < t <= 1:
+        raise UsageError("weingarten needs t in (0, 1]")
+    value = weingarten_finite_n(args.s, args.word, args.n, float(t))
     config = {"command": "weingarten", "s": args.s, "word": args.word,
               "n": args.n, "t": t}
-    results = {"finite_n": value, "limit": star_moment(args.s, t, word)}
+    results = {"finite_n": value, "limit": star_moment(args.s, t, args.word)}
     return _report(config, results, started)
 
 
@@ -302,7 +309,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("moments", help="exact moment table with route agreement")
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--k", type=int, default=6)
+    p.add_argument("--k", type=_at_least(1), default=6)
     p.add_argument("--order", type=int, default=16)
     p.add_argument("--force", action="store_true",
                    help="compute formal values inside the critical rectangle")
@@ -311,58 +318,58 @@ def build_parser() -> _Parser:
     p = sub.add_parser("density", help="density grid, support, quadrature mass")
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--grid-points", type=int, default=400)
-    p.add_argument("--k", type=int, default=4, help="quadrature moments to report")
+    p.add_argument("--grid-points", type=_at_least(1), default=400)
+    p.add_argument("--k", type=_at_least(0), default=4, help="quadrature moments to report")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("partitions", help="noncrossing / balanced enumeration")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--word", help="letters u and * (conjugate), e.g. uu**")
+    p.add_argument("--s", type=_at_least(1), required=True)
+    p.add_argument("--k", type=_at_least(0))
+    p.add_argument("--word", type=_word, help="letters u and * (conjugate), e.g. uu**")
     p.add_argument("--t", default="1")
     p.add_argument("--list", action="store_true", help="include the block lists")
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("mc", help="random-matrix / character Monte Carlo")
     p.add_argument("--model", choices=("product", "dw", "character"), required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--s", type=_at_least(1), required=True)
+    p.add_argument("--k", type=_at_least(1), default=1)
+    p.add_argument("--dim", type=_at_least(1), default=64)
+    p.add_argument("--trials", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", default="1")
-    p.add_argument("--word")
-    p.add_argument("--power", type=int, help="explicit trace power for the dw model")
+    p.add_argument("--word", type=_word)
+    p.add_argument("--power", type=_at_least(1), help="explicit trace power for the dw model")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("glm", help="exact expected-trace polynomial in 1/M")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--s", type=int)
+    p.add_argument("--K", type=_at_least(1), required=True)
+    p.add_argument("--s", type=_at_least(1))
     p.add_argument("--d-spec", choices=("identity", "roots"), default=None)
     p.add_argument("--dim", type=float, help="evaluate the polynomial at this M")
     p.set_defaults(func=cmd_glm)
 
     p = sub.add_parser("classical", help="discrete Bessel law atoms and moments")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_at_least(1), required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--p-max", type=int, default=None)
+    p.add_argument("--p-max", type=_at_least(1), default=None)
     p.add_argument("--pushforward", action="store_true",
                    help="push forward through x -> x^s")
-    p.add_argument("--k", type=int, default=0, help="real moments to report")
+    p.add_argument("--k", type=_at_least(0), default=0, help="real moments to report")
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("weingarten", help="finite-n integration value vs its limit")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--s", type=_at_least(1), required=True)
+    p.add_argument("--word", type=_word, required=True)
+    p.add_argument("--n", type=_at_least(4), required=True)
     p.add_argument("--t", default="1")
     p.set_defaults(func=cmd_weingarten)
 
     p = sub.add_parser("probe", help="moment-positivity sweep over a parameter grid")
     p.add_argument("--s-grid", required=True, help="start:stop:count")
     p.add_argument("--t-grid", required=True, help="start:stop:count")
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=_at_least(0), default=6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_probe)
 

@@ -291,71 +291,70 @@ def hns_character_mc(
         for sg in word.signs:
             val *= chi if sg == 1 else np.conj(chi)
         samples.append(val.real)
-    label = "".join("u" if sg == 1 else "*" for sg in word.signs)
-    return _report(f"chi_t word {label}, s={s}, t={t}", samples, n, seed)
+    return _report(f"chi_t word {word}, s={s}, t={t}", samples, n, seed)
 
 
-def _fraction_matrix_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
+def _gram_trace(join_blocks: list[list[int]], n: int, m: int) -> Fraction:
+    """tr(G(n)^-1 G(m)) exactly, where G(x)_pq = x^join_blocks[p][q] and n is an integer.
+
+    Bareiss elimination of [G(n) | G(m)] with no row swaps: G(n) = Z diag((n)_|tau|) Z^T
+    is positive semidefinite, so a zero pivot (leading minor) means G(n) is singular.
+    Fraction-free back substitution gives D = det G(n) G(n)^-1 G(m), row i only in the
+    columns c <= i that the trace sum_c D_cc needs.  Ordering rows and columns by |p|
+    leaves the trace as it is and keeps the early minors, where most work runs, small.
+    """
+    dim = len(join_blocks)
+    order = sorted(range(dim), key=lambda i: join_blocks[i][i])
+    rows = [[x ** join_blocks[i][j] for x in (n, m) for j in order] for i in order]
+    prev = 1
+    for k, head in enumerate(rows):
+        pivot = head[k]
+        if pivot == 0:
             raise np.linalg.LinAlgError("singular Gram matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            row[k + 1:] = [(pivot * x - lead * y) // prev
+                           for x, y in zip(row[k + 1:], head[k + 1:])]
+        prev = pivot
+    solved: list[list[int]] = [[]] * dim
+    for i in reversed(range(dim)):
+        row = rows[i]
+        acc = [prev * b for b in row[dim:dim + i + 1]]
+        for j in range(i + 1, dim):
+            acc = [u - row[j] * v for u, v in zip(acc, solved[j])]
+        solved[i] = [u // row[i] for u in acc]
+    return Fraction(sum(solved[i][i] for i in range(dim)), prev)
 
 
-EXACT_WEINGARTEN_MAX_DIM = 20
+EXACT_WEINGARTEN_MAX_DIM = 55
+WEINGARTEN_MAX_DIM = 500
 
 
 def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: float) -> float:
     """Finite-n Weingarten value sum_{p,q} W_n(p,q) [tn]^{|p join q|}.
 
-    The Gram matrix over the balanced partitions has entries n^{|p join q|};
-    W_n is its inverse.  Converges to star_moment(s, t, word) as n grows.
-    Uses exact rational inversion when the matrix is small and n is integral.
+    The Gram matrix G(n) over the balanced partitions has entries
+    n^{|p join q|}; W_n is its inverse, so the value is tr(G(n)^-1 G([tn])).
+    Converges to star_moment(s, t, word) as n grows.  Computed exactly when the
+    matrix is small and n is integral, in floats otherwise.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
+    if not 0 < t <= 1:
+        raise ValueError("t must be in (0, 1]")
     parts = enumerate_balanced(s, word)
     if not parts:
         return 0.0
-    if len(word) == 0:
-        return 1.0
-    dim = len(parts)
+    if len(parts) > WEINGARTEN_MAX_DIM:
+        raise EnumerationBoundError(
+            f"Gram dimension {len(parts)} exceeds the Weingarten bound {WEINGARTEN_MAX_DIM}"
+        )
     m = int(math.floor(t * n))
-    join_blocks = [
-        [join(p, q).block_count for q in parts] for p in parts
-    ]
-    if dim <= EXACT_WEINGARTEN_MAX_DIM and float(n).is_integer():
-        gram = [
-            [Fraction(int(n) ** join_blocks[i][j]) for j in range(dim)]
-            for i in range(dim)
-        ]
-        wg = _fraction_matrix_inverse(gram)
-        total = sum(
-            wg[i][j] * Fraction(m) ** join_blocks[i][j]
-            for i in range(dim)
-            for j in range(dim)
-        )
-        return float(total)
-    gram = np.array(
-        [[float(n) ** join_blocks[i][j] for j in range(dim)] for i in range(dim)]
-    )
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise np.linalg.LinAlgError(
-            f"Gram matrix ill-conditioned (cond ~ {cond:.3g}) at n = {n}"
-        )
-    wg = np.linalg.inv(gram)
-    coupling = np.array(
-        [[float(m) ** join_blocks[i][j] for j in range(dim)] for i in range(dim)]
-    )
-    return float(np.sum(wg * coupling))
+    join_blocks = [[join(p, q).block_count for q in parts] for p in parts]
+    if len(parts) <= EXACT_WEINGARTEN_MAX_DIM and float(n).is_integer():
+        return float(_gram_trace(join_blocks, int(n), m))
+    blocks = np.array(join_blocks, dtype=float)
+    gram = float(n) ** blocks
+    if not np.isfinite(cond := np.linalg.cond(gram)) or cond > 1e14:
+        raise np.linalg.LinAlgError(f"Gram matrix ill-conditioned (cond ~ {cond:.3g}) at n = {n}")
+    return float(np.sum(np.linalg.inv(gram) * float(m) ** blocks))

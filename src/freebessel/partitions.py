@@ -197,31 +197,28 @@ class ColoredWord:
     def __len__(self) -> int:
         return len(self.signs)
 
+    def __str__(self) -> str:
+        return "".join("u" if x == U else "*" for x in self.signs)
 
-def enumerate_balanced(
-    s: int, word: ColoredWord, bound: int = DEFAULT_ENUM_BOUND
-) -> list[SetPartition]:
+
+def enumerate_balanced(s: int, word: ColoredWord) -> list[SetPartition]:
     """Noncrossing partitions of {1..len(word)} whose every block is color-balanced mod s.
 
     A block is balanced when its letters' signs sum to 0 mod s.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    k = len(word)
-    if k > bound:
+    if len(word) > DEFAULT_ENUM_BOUND:
         raise EnumerationBoundError(
-            f"word length {k} exceeds the enumeration bound {bound}"
+            f"word length {len(word)} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}"
         )
     return _enumerate_weighted(word.signs, s)
 
 
-def star_moment(s: int, t, word: ColoredWord, bound: int = DEFAULT_ENUM_BOUND) -> Fraction:
+def star_moment(s: int, t, word: ColoredWord) -> Fraction:
     """Sum of t^(number of blocks) over the balanced noncrossing partitions of the word."""
     tf = Fraction(t)
-    return sum(
-        (tf ** p.block_count for p in enumerate_balanced(s, word, bound=bound)),
-        Fraction(0),
-    )
+    return sum((tf ** p.block_count for p in enumerate_balanced(s, word)), Fraction(0))
 
 
 def join(p: SetPartition, q: SetPartition) -> SetPartition:
@@ -236,16 +233,11 @@ def join(p: SetPartition, q: SetPartition) -> SetPartition:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for part in (p, q):
-        for block in part.blocks:
-            for x in block[1:]:
-                union(block[0], x)
+    for block in p.blocks + q.blocks:
+        for x in block[1:]:
+            parent[find(x)] = find(block[0])
     groups: dict[int, list[int]] = {}
     for x in range(1, p.ground_size + 1):
         groups.setdefault(find(x), []).append(x)
-    return SetPartition.from_blocks(list(groups.values()))
+    # the sweep meets each block's points in order, and the blocks in order of minima
+    return SetPartition(p.ground_size, tuple(map(tuple, groups.values())))

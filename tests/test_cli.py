@@ -222,7 +222,7 @@ class TestClassicalCommand:
         code, out, err = run(capsys, "classical", "--s", "2", "--t", "1", "--p-max", "0")
         assert code == 1
         assert out == ""
-        assert "p_max" in err
+        assert "--p-max" in err
 
 
 class TestStrictJSON:
@@ -315,14 +315,42 @@ class TestSizeBounds:
             ["glm", "--K", "21"],
             ["partitions", "--s", "1", "--k", "20"],
             ["weingarten", "--s", "1", "--word", "u" * 15, "--n", "8"],
+            ["weingarten", "--s", "1", "--word", "u" * 8, "--n", "8"],
         ],
-        ids=["glm", "partitions", "weingarten"],
+        ids=["glm", "partitions", "weingarten", "weingarten-gram"],
     )
     def test_size_bound_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert "usage error" in err and "bound" in err
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weingarten", "--s", "0", "--word", "uu**", "--n", "8"],
+            ["weingarten", "--s", "2", "--word", "uu**", "--n", "3"],
+            ["weingarten", "--s", "2", "--word", "ux", "--n", "8"],
+            ["weingarten", "--s", "2", "--word", "uu**", "--n", "8", "--t", "2"],
+            ["weingarten", "--s", "2", "--word", "uu**", "--n", "8", "--t", "-1"],
+            ["weingarten", "--s", "2", "--word", "uu**", "--n", "8", "--t", "0"],
+            ["partitions", "--s", "1", "--k", "-1"],
+            ["glm", "--K", "0"],
+            ["mc", "--model", "dw", "--s", "1", "--k", "0"],
+            ["mc", "--model", "character", "--s", "1", "--word", "u*", "--t", "2"],
+            ["mc", "--model", "character", "--s", "1", "--word", "u*", "--dim", "3"],
+            ["density", "--s", "2", "--t", "1/2", "--grid-points", "0"],
+            ["density", "--s", "2", "--t", "1/2", "--k", "-1"],
+            ["probe", "--s-grid", "1:1:1", "--t-grid", "1:1:1", "--order", "-1"],
+        ],
+    )
+    def test_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
 
 
 class TestRecordedPayloads:

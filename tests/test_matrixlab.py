@@ -1,5 +1,6 @@
 """Matrix models, exact permutation sums, characters, Weingarten integration."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,9 @@ import pytest
 
 from freebessel.classical import bessel_law
 from freebessel.matrixlab import (
+    EXACT_WEINGARTEN_MAX_DIM,
     _dw_matrix,
+    _gram_trace,
     _trace_powers,
     _trial_rng,
     dw_model_mc,
@@ -27,8 +30,10 @@ from freebessel.matrixlab import (
 from freebessel.partitions import (
     ColoredWord,
     EnumerationBoundError,
+    enumerate_balanced,
     enumerate_nc_s,
     fuss_catalan,
+    join,
     star_moment,
 )
 
@@ -420,3 +425,83 @@ class TestWeingarten:
                 # error * n stays bounded along the doubling sequence
                 scaled = [e * n for e, n in zip(errs, (8, 16, 32, 64))]
                 assert max(scaled) <= 2 * scaled[0] + 1e-9
+
+    def test_rejects_t_outside_unit_interval(self):
+        for t in (2.0, -1.0, 0.0):
+            with pytest.raises(ValueError):
+                weingarten_finite_n(2, ColoredWord.from_string("uu**"), 8, t)
+
+    def test_gram_bound(self):
+        # u^7 (dim 429) is admitted; u^8 (dim 1430) is refused before its join table
+        with pytest.raises(EnumerationBoundError, match="Gram dimension 1430"):
+            weingarten_finite_n(1, ColoredWord.same_color(8), 8, 1.0)
+
+
+def fraction_matrix_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse over Fraction: the oracle for the integer solve."""
+    n = len(m)
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise np.linalg.LinAlgError("singular Gram matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def join_table(s: int, text: str) -> tuple[tuple[int, ...], ...]:
+    parts = enumerate_balanced(s, ColoredWord.from_string(text))
+    return tuple(tuple(join(p, q).block_count for q in parts) for p in parts)
+
+
+@functools.cache
+def fraction_trace(table: tuple[tuple[int, ...], ...], n: int, m: int) -> Fraction:
+    """sum_{p,q} W_n(p,q) m^{table[p][q]} with W_n from the Fraction inverse."""
+    wg = fraction_matrix_inverse([[Fraction(n) ** b for b in row] for row in table])
+    return sum(
+        (w * Fraction(m) ** b for w_row, row in zip(wg, table) for w, b in zip(w_row, row)),
+        Fraction(0),
+    )
+
+
+SHORT_WORDS = ["".join(w) for k in range(1, 6) for w in itertools.product("u*", repeat=k)]
+
+# one word for each Gram dimension in 21..55 that words of up to 10 letters reach at s <= 4
+DIM_WORDS = {
+    22: (3, "uu**uu**"), 24: (4, "uuuuuuu***"), 26: (3, "uu*u**u*"), 28: (3, "uuuuuu***"),
+    29: (4, "uuuu*uuu**"), 30: (3, "uu*u*u**"), 32: (3, "uuu*uuu**"), 33: (4, "uuuu*u****"),
+    35: (4, "uuuu**u***"), 36: (3, "uuuu*uu**"), 37: (3, "uuuuu*u**"), 42: (1, "uuuuu"),
+    48: (4, "uuu**uu***"), 49: (4, "uuu*u***u*"), 52: (3, "uuuuuuuu**"),
+    54: (3, "uuuuu*****"), 55: (2, "uu**uu**"),
+}
+
+
+class TestExactWeingarten:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_fraction_inverse(self, s):
+        words = SHORT_WORDS + (["uu**uu**"] if s == 2 else [])
+        for table in {join_table(s, w) for w in words} - {()}:
+            for n in (4, 8, 64):
+                for m in (n // 2, n):
+                    assert _gram_trace(table, n, m) == fraction_trace(table, n, m)
+
+    def test_value_is_dim_at_t_one(self):
+        cases = [(s, w) for s in (1, 2, 3) for w in SHORT_WORDS] + list(DIM_WORDS.values())
+        for s, text in cases:
+            dim = len(enumerate_balanced(s, ColoredWord.from_string(text)))
+            assert dim <= EXACT_WEINGARTEN_MAX_DIM
+            for n in (4, 64):
+                value = weingarten_finite_n(s, ColoredWord.from_string(text), n, 1.0)
+                assert value == float(dim)
+        for dim, (s, text) in DIM_WORDS.items():
+            assert len(enumerate_balanced(s, ColoredWord.from_string(text))) == dim
+
+    def test_zero_pivot_is_singular(self):
+        with pytest.raises(np.linalg.LinAlgError, match="singular Gram matrix"):
+            _gram_trace([[1, 1], [1, 1]], 8, 4)

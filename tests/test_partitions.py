@@ -408,12 +408,20 @@ class TestJoin:
         assert join(p, p) == p
         assert join(p, q).block_count <= min(p.block_count, q.block_count)
 
+    def test_canonical_without_from_blocks(self):
+        nc6 = enumerate_nc(6)
+        for p in nc6:
+            for q in nc6:
+                joined = join(p, q)
+                assert joined == SetPartition.from_blocks(joined.blocks)
+
 
 class TestColoredWord:
     def test_parsing(self):
         w = ColoredWord.from_string("uU*b")
         assert w.signs == (1, 1, -1, -1)
         assert len(w) == 4
+        assert str(w) == "uu**"
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
