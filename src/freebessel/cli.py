@@ -36,6 +36,8 @@ from .partitions import (
     DEFAULT_ENUM_BOUND,
     ColoredWord,
     EnumerationBoundError,
+    count_balanced,
+    count_nc_s,
     enumerate_balanced,
     enumerate_nc_s,
     fuss_catalan,
@@ -197,12 +199,11 @@ def cmd_partitions(args, started: float) -> str:
     config: dict = {"command": "partitions", "s": s}
     if args.word is not None:
         t = _rational(args.t)
-        parts = enumerate_balanced(s, args.word)
         results = {
             "word": args.word,
-            "count": len(parts),
-            "star_moment": sum((t ** p.block_count for p in parts), Fraction(0)),
-            "blocks": [[list(b) for b in p.blocks] for p in parts]
+            "count": sum(count_balanced(s, args.word)),
+            "star_moment": star_moment(s, t, args.word),
+            "blocks": [[list(b) for b in p.blocks] for p in enumerate_balanced(s, args.word)]
             if args.list
             else None,
         }
@@ -210,13 +211,12 @@ def cmd_partitions(args, started: float) -> str:
     else:
         if args.k is None:
             raise UsageError("need --k (or --word)")
-        parts = enumerate_nc_s(s, args.k)
         results = {
             "k": args.k,
-            "count": len(parts),
+            "count": sum(count_nc_s(s, args.k)),
             "fuss_catalan": fuss_catalan(s, args.k),
             "fuss_narayana": list(fuss_narayana_poly(s, args.k)) if args.k >= 1 else [],
-            "blocks": [[list(b) for b in p.blocks] for p in parts]
+            "blocks": [[list(b) for b in p.blocks] for p in enumerate_nc_s(s, args.k)]
             if args.list
             else None,
         }
@@ -242,14 +242,17 @@ def cmd_mc(args, started: float) -> str:
 
 
 def cmd_glm(args, started: float) -> str:
-    poly = glm_exact(args.K, args.s, args.d_spec)
+    d_spec = args.d_spec or ("roots" if args.s else "identity")
+    if d_spec == "roots" and (args.s is None or args.K % args.s):
+        raise UsageError("--d-spec roots needs an --s that divides --K")
+    poly = glm_exact(args.K, args.s, d_spec)
     results: dict = {
         "polynomial": {str(e): c for e, c in poly.items()},
         "constant_term": poly.get(0, Fraction(0)),
     }
     if args.dim is not None:
         results["value_at_dim"] = glm_eval(poly, float(args.dim))
-    config = {"command": "glm", "K": args.K, "s": args.s, "d_spec": args.d_spec,
+    config = {"command": "glm", "K": args.K, "s": args.s, "d_spec": d_spec,
               "dim": args.dim}
     return _report(config, results, started)
 
@@ -383,8 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "glm" and args.d_spec is None:
-            args.d_spec = "roots" if args.s else "identity"
         payload = args.func(args, started)
     except (UsageError, EnumerationBoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -13,7 +13,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .partitions import ColoredWord, EnumerationBoundError, enumerate_balanced, join
+from .partitions import (
+    ColoredWord,
+    EnumerationBoundError,
+    count_balanced,
+    enumerate_balanced,
+    join,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -77,20 +83,33 @@ def sample_ginibre(
 
 
 def _trace_powers(A: np.ndarray, powers: Iterable[int]) -> dict[int, complex]:
-    """tr(A^m) for each m, with matrix products only up to A^ceil(max/2).
+    """tr(A^m) for each m, forming only the powers that some m or formed power needs.
 
-    tr(A^m) = sum_ij (A^a)_ij (A^b)_ji with a = ceil(m/2) and b = m - a in
-    {a, a - 1}, so only the current and the previous power are kept.
+    Each m > 1, and each formed power, splits as a + b over formed powers (A^1
+    is given): tr(A^m) = sum_ij (A^a)_ij (A^b)_ji and A^m = A^a A^b.  From the
+    largest m down, a split takes two powers already chosen if it can, else one
+    chosen power above 1 and one new power, else the two halves.  [3, 6, 9]
+    forms A^2, A^4 and A^5: 3 products.
     """
-    traces: dict[int, complex] = {}
-    prev, cur, a_cur = A, A, 1  # cur = A^a_cur, prev = A^(a_cur - 1) once a_cur > 1
-    for m in sorted(set(powers)):
-        a = (m + 1) // 2
-        while a_cur < a:
-            prev, cur, a_cur = cur, cur @ A, a_cur + 1
-        B = cur if m == 2 * a else prev
-        traces[m] = complex(np.trace(A) if m == 1 else np.einsum("ij,ji->", cur, B))
-    return traces
+    split: dict[int, tuple[int, int]] = {}
+    chosen, pending = {1}, set(powers) - {1}
+    while pending:
+        m = max(pending)
+        pending.remove(m)
+        pair = next(((m - a, a) for a in sorted(chosen) if m - a in chosen), None)
+        if pair is None:
+            pair = next(((m - b, b) for b in sorted(chosen, reverse=True) if 1 < b < m),
+                        ((m + 1) // 2, m // 2))
+        split[m] = pair
+        pending.update(set(pair) - chosen)
+        chosen.update(pair)
+    formed = {1: A}
+    for p in sorted(chosen - {1}):  # the parts of a split are smaller than the power
+        a, b = split[p]
+        formed[p] = formed[a] @ formed[b]
+    return {m: complex(np.einsum("ij,ji->", formed[split[m][0]], formed[split[m][1]])
+                       if m > 1 else np.trace(A))
+            for m in set(powers)}
 
 
 def product_model_mc(s: int, N: int, k: int, trials: int, seed: int) -> MCReport:
@@ -342,16 +361,17 @@ def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: float) -> float:
         raise ValueError("n must be >= 4")
     if not 0 < t <= 1:
         raise ValueError("t must be in (0, 1]")
-    parts = enumerate_balanced(s, word)
-    if not parts:
+    dim = sum(count_balanced(s, word))  # refuse a large Gram matrix before listing its rows
+    if not dim:
         return 0.0
-    if len(parts) > WEINGARTEN_MAX_DIM:
+    if dim > WEINGARTEN_MAX_DIM:
         raise EnumerationBoundError(
-            f"Gram dimension {len(parts)} exceeds the Weingarten bound {WEINGARTEN_MAX_DIM}"
+            f"Gram dimension {dim} exceeds the Weingarten bound {WEINGARTEN_MAX_DIM}"
         )
+    parts = enumerate_balanced(s, word)
     m = int(math.floor(t * n))
     join_blocks = [[join(p, q).block_count for q in parts] for p in parts]
-    if len(parts) <= EXACT_WEINGARTEN_MAX_DIM and float(n).is_integer():
+    if dim <= EXACT_WEINGARTEN_MAX_DIM and float(n).is_integer():
         return float(_gram_trace(join_blocks, int(n), m))
     blocks = np.array(join_blocks, dtype=float)
     gram = float(n) ** blocks

@@ -108,18 +108,59 @@ def _enumerate_weighted(weights: tuple[int, ...], s: int) -> list[SetPartition]:
             gc.enable()
 
 
+def _count_weighted(weights: tuple[int, ...], s: int) -> list[int]:
+    """Block-count histogram of ``_enumerate_weighted(weights, s)``, built without its list.
+
+    Entry b counts the partitions with b blocks, b = 0..m.  The same first-block
+    table, with coefficient lists in the block count as entries: ``counts(lo, hi,
+    r)`` has length hi - lo + 1.  Where lo closes its block, the tail entry shifts
+    up by one; where the block goes on at nxt, the gap entry is multiplied by the
+    tail entry.
+    """
+    weight = (0,) + weights
+
+    @cache
+    def counts(lo: int, hi: int, r: int) -> list[int]:
+        if lo == hi:
+            return [int(r == 0)]
+        r_next = (r - weight[lo]) % s
+        out = [0] + counts(lo + 1, hi, 0) if r_next == 0 else [0] * (hi - lo + 1)
+        gap_weight = 0
+        for nxt in range(lo + 1, hi):
+            if gap_weight % s == 0 and any(tail := counts(nxt, hi, r_next)):
+                for i, g in enumerate(counts(lo + 1, nxt, 0)):
+                    if g:
+                        for j, c in enumerate(tail, i):
+                            out[j] += g * c
+            gap_weight += weight[nxt]
+        return out
+
+    try:
+        return counts(1, len(weights) + 1, 0)
+    finally:
+        counts.cache_clear()
+
+
+def _check_size(s: int, size: int, bound: int = DEFAULT_ENUM_BOUND) -> None:
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if size > bound:
+        raise EnumerationBoundError(f"ground size {size} exceeds the enumeration bound {bound}")
+
+
 def enumerate_nc_s(s: int, k: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetPartition]:
     """All noncrossing partitions of {1..sk} whose block sizes are multiples of s.
 
     ``k = 0`` returns the single empty partition.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if s * k > bound:
-        raise EnumerationBoundError(
-            f"ground size {s * k} exceeds the enumeration bound {bound}"
-        )
+    _check_size(s, s * k, bound)
     return _enumerate_weighted((1,) * (s * k), s)
+
+
+def count_nc_s(s: int, k: int) -> list[int]:
+    """The count form of enumerate_nc_s: entry b counts its partitions with b blocks."""
+    _check_size(s, s * k)
+    return _count_weighted((1,) * (s * k), s)
 
 
 def enumerate_nc(m: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetPartition]:
@@ -206,19 +247,25 @@ def enumerate_balanced(s: int, word: ColoredWord) -> list[SetPartition]:
 
     A block is balanced when its letters' signs sum to 0 mod s.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if len(word) > DEFAULT_ENUM_BOUND:
-        raise EnumerationBoundError(
-            f"word length {len(word)} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}"
-        )
+    _check_size(s, len(word))
     return _enumerate_weighted(word.signs, s)
 
 
+def count_balanced(s: int, word: ColoredWord) -> list[int]:
+    """The count form of enumerate_balanced: entry b counts its partitions with b blocks."""
+    _check_size(s, len(word))
+    return _count_weighted(word.signs, s)
+
+
 def star_moment(s: int, t, word: ColoredWord) -> Fraction:
-    """Sum of t^(number of blocks) over the balanced noncrossing partitions of the word."""
-    tf = Fraction(t)
-    return sum((tf ** p.block_count for p in enumerate_balanced(s, word)), Fraction(0))
+    """Sum of t^(number of blocks) over the balanced noncrossing partitions of the word.
+
+    Horner's rule on the block counts, in exact rationals.
+    """
+    tf, value = Fraction(t), Fraction(0)
+    for c in reversed(count_balanced(s, word)):
+        value = value * tf + c
+    return value
 
 
 def join(p: SetPartition, q: SetPartition) -> SetPartition:

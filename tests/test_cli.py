@@ -344,6 +344,8 @@ class TestArgumentErrors:
             ["density", "--s", "2", "--t", "1/2", "--grid-points", "0"],
             ["density", "--s", "2", "--t", "1/2", "--k", "-1"],
             ["probe", "--s-grid", "1:1:1", "--t-grid", "1:1:1", "--order", "-1"],
+            ["glm", "--K", "8", "--s", "3"],
+            ["glm", "--K", "4", "--d-spec", "roots"],
         ],
     )
     def test_exit_one(self, capsys, argv):

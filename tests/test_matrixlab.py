@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from freebessel import matrixlab
 from freebessel.classical import bessel_law
 from freebessel.matrixlab import (
     EXACT_WEINGARTEN_MAX_DIM,
@@ -196,13 +197,21 @@ class TestTracePowers:
         for m, want in enumerate(power_loop_traces(A, 12), start=1):
             assert abs(got[m] - want) <= 1e-12 * abs(want)
 
+    # the fewest products for which every power is a sum of two formed powers
+    PRODUCTS = {(1,): 0, (2,): 0, (1, 2): 0, (3,): 1, (4, 2): 1, (3, 6, 9): 3, (2, 4, 6): 2,
+                (12, 1): 3, (11,): 4}
+
     @pytest.mark.parametrize("powers", [[1], [2], [1, 2], [3], [4, 2], [3, 6, 9], [2, 4, 6],
                                         [12, 1], [11]])
     def test_products_up_to_half_the_largest_power(self, powers):
         A = sample_ginibre(8, 8, 1.0, _trial_rng(32, 0)).view(CountingArray)
         CountingArray.matmuls = 0
-        _trace_powers(A, powers)
-        assert CountingArray.matmuls == (max(powers) + 1) // 2 - 1
+        got = _trace_powers(A, powers)
+        assert CountingArray.matmuls == self.PRODUCTS[tuple(powers)]
+        assert CountingArray.matmuls <= (max(powers) + 1) // 2 - 1
+        loop = power_loop_traces(A, max(powers))
+        for m in powers:  # rounding grows with the norm of the products
+            assert abs(got[m] - loop[m - 1]) <= 1e-13 * np.linalg.norm(A) ** m
 
 
 class TestProductModel:
@@ -435,6 +444,14 @@ class TestWeingarten:
         # u^7 (dim 429) is admitted; u^8 (dim 1430) is refused before its join table
         with pytest.raises(EnumerationBoundError, match="Gram dimension 1430"):
             weingarten_finite_n(1, ColoredWord.same_color(8), 8, 1.0)
+
+    def test_gram_bound_before_the_list(self, monkeypatch):
+        def fail(s, word):
+            raise AssertionError("the partitions were listed")
+
+        monkeypatch.setattr(matrixlab, "enumerate_balanced", fail)
+        with pytest.raises(EnumerationBoundError, match="Gram dimension 2674440"):
+            weingarten_finite_n(1, ColoredWord.same_color(14), 8, 1.0)
 
 
 def fraction_matrix_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebessel import partitions
+from freebessel import cli, partitions
 from freebessel.partitions import (
     ColoredWord,
     EnumerationBoundError,
     SetPartition,
+    _count_weighted,
     _enumerate_weighted,
+    count_balanced,
+    count_nc_s,
     enumerate_balanced,
     enumerate_nc,
     enumerate_nc_s,
@@ -304,6 +307,61 @@ class TestWeightedTable:
         for s in range(1, 13):
             for k in range(0, 12 // s + 1):
                 assert enumerate_nc_s(s, k) == weighted_walk((1,) * (s * k), s)
+
+
+def histogram(parts: list[SetPartition], m: int) -> list[int]:
+    counts = [0] * (m + 1)
+    for p in parts:
+        counts[p.block_count] += 1
+    return counts
+
+
+class TestCountTable:
+    """The count form of the table gives the block-count histogram of the lists."""
+
+    def test_nc_s_matches_lists(self):
+        for s in range(1, 5):
+            for k in range(0, 12 // s + 1):
+                assert count_nc_s(s, k) == histogram(enumerate_nc_s(s, k), s * k)
+
+    def test_random_words_match_lists(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            letters = tuple(rng.choice((1, -1)) for _ in range(rng.randint(1, 11)))
+            for s in range(1, 4):
+                want = histogram(_enumerate_weighted(letters, s), len(letters))
+                assert _count_weighted(letters, s) == want
+
+    @pytest.mark.parametrize("s, k", [(1, 30), (2, 20), (3, 20)])
+    def test_fuss_narayana_past_the_list_bound(self, s, k):
+        counts = _count_weighted((1,) * (s * k), s)
+        assert counts[:k + 1] == list(fuss_narayana_poly(s, k))
+        assert not any(counts[k + 1:])
+
+    def test_edge_cases(self):
+        assert count_nc_s(3, 0) == [1]
+        assert count_balanced(2, ColoredWord(())) == [1]
+        unbalanced = ColoredWord.from_string("uuu")
+        assert not any(count_balanced(2, unbalanced))
+        assert star_moment(2, Fraction(1, 3), unbalanced) == 0
+
+    def test_same_bound_as_the_lists(self):
+        with pytest.raises(EnumerationBoundError, match="ground size 15"):
+            count_nc_s(3, 5)
+        with pytest.raises(EnumerationBoundError, match="ground size 15"):
+            count_balanced(1, ColoredWord.same_color(15))
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["partitions", "--s", "1", "--k", "12"], '"count": 208012'),
+        (["moments", "--s", "3", "--t", "1/2", "--k", "4"], '"partitions": "1/2"'),
+    ])
+    def test_cli_builds_no_partition(self, monkeypatch, capsys, argv, shown):
+        def fail(m, blocks):
+            raise AssertionError("a partition was built")
+
+        monkeypatch.setattr(partitions, "SetPartition", fail)
+        assert cli.main(argv) == 0
+        assert shown in capsys.readouterr().out
 
 
 @pytest.fixture
