@@ -350,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--K", type=_at_least(1), required=True)
     p.add_argument("--s", type=_at_least(1))
     p.add_argument("--d-spec", choices=("identity", "roots"), default=None)
-    p.add_argument("--dim", type=float, help="evaluate the polynomial at this M")
+    p.add_argument("--dim", type=_at_least(1), help="evaluate the polynomial at this M")
     p.set_defaults(func=cmd_glm)
 
     p = sub.add_parser("classical", help="discrete Bessel law atoms and moments")

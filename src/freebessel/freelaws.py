@@ -1,8 +1,8 @@
 """The two-parameter free Bessel family: moments, supports, densities, existence.
 
-Moments are exact rationals; densities are computed numerically from the
-algebraic equation of the Stieltjes transform, taking at each point of the
-support the root in the lower half-plane with the largest real part.
+Moments are exact rationals.  Densities and their quadrature moments come from
+one closed-form curve: u = xG on the algebraic equation of the Stieltjes
+transform, with arg u in the lower half-plane as the parameter.
 """
 
 from __future__ import annotations
@@ -148,50 +148,6 @@ def support(s, t) -> SupportInfo:
     return SupportInfo("t>1", 0.0, 1 / phi_st, 0.0, w_minus=w1)
 
 
-def _physical_roots(s: int, t: float, xs: np.ndarray) -> np.ndarray:
-    """G(x - i0) at each x in (K_-, K_+), each point on its own.
-
-    Of the roots of x^s G^(s+1) + (t-1) x^(s-1) G^s - x G + 1, the physical
-    one has Im G <= 0 and the largest real part.  The companion matrices are
-    those np.roots builds, with the coefficients raised by scalar powers, and
-    are solved in one stacked eigvals call.
-    """
-    coeffs = np.zeros((len(xs), s + 2))
-    coeffs[:, 0] = [x**s for x in xs.tolist()]
-    # accumulate: for s = 1 the G^s and G terms share a column
-    coeffs[:, 1] += [(t - 1) * x ** (s - 1) for x in xs.tolist()]
-    coeffs[:, s] += -xs
-    coeffs[:, s + 1] = 1.0
-    companion = np.zeros((len(xs), s + 1, s + 1))
-    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion[:, np.arange(1, s + 1), np.arange(s)] = 1.0
-    roots = np.linalg.eigvals(companion)
-    real = np.where(roots.imag <= 0, roots.real, -np.inf)
-    return roots[np.arange(len(xs)), np.argmax(real, axis=1)]
-
-
-def density(s: int, t: float, x) -> float | np.ndarray:
-    """Density of the continuous part at x > 0: -Im G(x - i0)/pi.
-
-    Points outside (K_-, K_+) get 0 without a root solve; inside, each point
-    takes the physical root of the Stieltjes polynomial (see _physical_roots),
-    so a value does not depend on the other points of the call.
-    """
-    if int(s) != s or s < 1:
-        raise ValueError("density requires integer s >= 1")
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0):
-        raise ValueError("x must be positive")
-    sup = support(s, t)
-    rho = np.zeros(xs.shape)
-    bulk = (xs > float(sup.K_minus)) & (xs < float(sup.K_plus))
-    if bulk.any():
-        gs = _physical_roots(int(s), float(t), xs[bulk])
-        rho[bulk] = np.maximum(-gs.imag / np.pi, 0.0)
-    return float(rho[0]) if scalar else rho
-
-
 @dataclass(frozen=True)
 class DensityGrid:
     abscissae: tuple[float, ...]
@@ -232,7 +188,7 @@ def _roots(s: int, t: float, theta):
 
 
 def _curve(s: int, t: float, theta, root: int | None):
-    """u = xG, x and d(log x)/d(theta) at arg u = theta; the density there is -Im u/(pi x).
+    """u = xG, x, d(log x)/d(theta), d(log u)/d(theta) at arg u = theta; rho = -Im u/(pi x).
 
     x = u^s (u - 1 + t)/(u - 1) is real when c = (u - 1 + t)/(u - 1) = r e^(-i s theta), r
     root 0 or 1 (t < 1) or the positive root (None) of A r^2 + B r + C, A = -sin theta,
@@ -246,7 +202,7 @@ def _curve(s: int, t: float, theta, root: int | None):
     c = r * np.exp(-1j * s * theta)
     u = 1 - t / (1 - c)
     dlog_u = -t * c * (dlog_r - 1j * s) / (u * (1 - c) ** 2)
-    return u, np.abs(u) ** s * r, s * dlog_u.real + dlog_r
+    return u, np.abs(u) ** s * r, s * dlog_u.real + dlog_r, dlog_u
 
 
 def _theta_min(s: int, t: float) -> float:
@@ -255,6 +211,18 @@ def _theta_min(s: int, t: float) -> float:
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if _roots(s, t, mid)[1] < 0 else (lo, mid)
     return hi
+
+
+def _pieces(s: int, t: float):
+    """s, t, start, p, [(end, root), ...]: pieces of _curve with x(theta) monotone, meeting at
+    x(start) (0 at t = 1).  The first rises to K_+; a second falls to K_- (t < 1) or to 0 at
+    -pi/s (t > 1).  p grades the quadrature nodes."""
+    if int(s) != s or s < 1:
+        raise ValueError("density requires integer s >= 1")
+    s, t = int(s), float(t)
+    if t < 1:
+        return s, t, _theta_min(s, t), 2, [(0.0, 0), (0.0, 1)]
+    return s, t, -np.pi / (s + 1), 3, [(0.0, None)] + [(-np.pi / s, None)] * (t > 1)
 
 
 def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
@@ -266,21 +234,63 @@ def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
     v^2 smooths the square-root end at theta_min (t < 1); v^3 clusters the nodes
     at -pi/(s+1), where the curve turns sharply as t -> 1+ (t >= 1).
     """
-    if int(s) != s or s < 1:
-        raise ValueError("density requires integer s >= 1")
-    s, t = int(s), float(t)
+    s, t, start, p, pieces = _pieces(s, t)
     v, w = np.polynomial.legendre.leggauss(32)
     v, w = 0.5 * (v + 1), 0.5 * w
-    if t < 1:
-        start, p, pieces = _theta_min(s, t), 2, [(0.0, 0), (0.0, 1)]
-    else:  # for t > 1 a second piece runs on to -pi/s
-        start, p, pieces = -np.pi / (s + 1), 3, [(0.0, None)] + [(-np.pi / s, None)] * (t > 1)
     out = np.zeros(k_max + 1)
     for end, root in pieces:
-        u, x, dlog_x = _curve(s, t, start + (end - start) * v**p, root)
+        u, x, dlog_x, _ = _curve(s, t, start + (end - start) * v**p, root)
         weight = w * np.abs(p * (end - start) * v ** (p - 1) * dlog_x) * -u.imag / np.pi
         out += [np.sum(weight * x**k) for k in range(k_max + 1)]
     return tuple(out.tolist())
+
+
+def density(s: int, t: float, x) -> float | np.ndarray:
+    """Density of the continuous part at x > 0: -Im u/(pi x) where x(theta) = x on _curve.
+
+    0 outside (K_-, K_+).  Inside, a point takes its piece's bracket from 31 nodes graded
+    v^2 from start, then Newton steps on log x, bisecting where a step leaves the shrinking
+    bracket, until its own theta step is <= 1e-15 |theta|: no value depends on the others.
+    """
+    s, t, start, _, pieces = _pieces(s, t)
+    scalar = np.isscalar(x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(xs > 0):
+        raise ValueError("x must be positive")
+    sup = support(s, t)
+    rho, log_xs = np.zeros(xs.shape), np.log(xs)
+    todo = (xs > float(sup.K_minus)) & (xs < float(sup.K_plus))
+    with np.errstate(all="ignore"):  # x(theta) underflows to 0 near x = 0 at large s
+        for sign, (end, root) in zip((1, -1), pieces):
+            nodes = start + (end - start) * np.linspace(0, 1, 31) ** 2
+            table = np.log(_curve(s, t, nodes[:-1], root)[1])
+            table[0] = -np.inf if t == 1 else table[0]
+            # a rising piece takes the points above its start, a falling one the rest
+            idx = np.flatnonzero(todo & (log_xs >= table[0]) if sign > 0 else todo)
+            todo[idx] = False
+            k = np.clip(np.searchsorted(sign * table, sign * log_xs[idx]), 1, 30)
+            lo, hi = nodes[k - 1], nodes[k]  # x(lo) short of x, x(hi) past it
+            theta, live = 0.5 * (lo + hi), np.arange(idx.size)
+            for _ in range(100):  # met only where theta is lost in rounding (t < 1e-8)
+                th, tol = theta[live], 1e-15 * np.abs(theta[live])
+                _, x_th, dlog_x, _ = _curve(s, t, th, root)
+                f = np.log(x_th) - log_xs[idx[live]]
+                lo[live], hi[live] = np.where(sign * f > 0, (lo[live], th), (th, hi[live]))
+                step = th - f / dlog_x
+                keep = (np.abs(step - th) <= tol) | ((step - lo[live]) * (step - hi[live]) < 0)
+                theta[live] = np.where(keep, step, 0.5 * (lo[live] + hi[live]))
+                if not (live := live[np.abs(theta[live] - th) > tol]).size:
+                    break
+            # near an edge rho(x) has condition number x/(2 gap), past double precision: take
+            # the gap left in log x once in extended precision and follow u to first order
+            u, x_th, dlog_x, dlog_u = _curve(s, t, theta.astype(np.longdouble), root)
+            f = np.log(x_th) - np.log(xs[idx].astype(np.longdouble))
+            if np.any(np.abs(f) > 1e-6):  # near x = 0, x(theta) jumps between ulps of theta
+                raise ValueError("x is below the resolution of the density curve near 0")
+            step = -f / dlog_x  # none past an end that rounding moved into (K_-, K_+)
+            u = u * (1 + dlog_u * np.where(np.abs(step) <= 1e-3 * np.abs(theta), step, 0))
+            rho[idx] = -u.imag / (np.pi * xs[idx])
+    return float(rho[0]) if scalar else rho
 
 
 def density_grid(s: int, t: float, n_points: int = 400) -> DensityGrid:

@@ -120,6 +120,14 @@ class TestDensity:
         assert code == 0
         assert payload(out)["results"]["quadrature_mass"] == pytest.approx(1.0, rel=1e-9)
 
+    def test_s_43(self, capsys):
+        # K_- = 9.4e-16, where x^s underflows in a companion-matrix solve
+        code, out, _ = run(capsys, "density", "--s", "43", "--t", "1/2")
+        assert code == 0
+        values = payload(out)["results"]["grid"]["density"]
+        assert len(values) == 400
+        assert all(math.isfinite(v) and v >= 0 for v in values)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
         code, out, _ = run(
@@ -346,6 +354,10 @@ class TestArgumentErrors:
             ["probe", "--s-grid", "1:1:1", "--t-grid", "1:1:1", "--order", "-1"],
             ["glm", "--K", "8", "--s", "3"],
             ["glm", "--K", "4", "--d-spec", "roots"],
+            ["glm", "--K", "4", "--dim", "-5"],
+            ["glm", "--K", "4", "--dim", "0"],
+            ["glm", "--K", "4", "--dim", "nan"],
+            ["glm", "--K", "4", "--dim", "inf"],
         ],
     )
     def test_exit_one(self, capsys, argv):
@@ -380,7 +392,15 @@ class TestRecordedPayloads:
             capsys, "density", "--s", "2", "--t", "1/2", "--grid-points", "3", "--k", "1"
         )
         assert code == 0
-        assert_same_payload(payload(out)["results"], {
+        results = payload(out)["results"]
+        # 60-digit roots of the Stieltjes polynomial (mpmath), against the values the
+        # companion solve recorded: each point must be at least as close as those were
+        exact = [0.0007816561004915148480, 0.06129550263259490014, 1.558182660534911152e-06]
+        recorded = [0.0007816560996941404, 0.06129550263259492, 1.5581826326575035e-06]
+        for value, e, r in zip(results["grid"]["density"], exact, recorded):
+            assert abs(value - e) <= abs(r - e)
+        results["grid"]["density"] = exact
+        assert_same_payload(results, {
             "params": {"s": 2.0, "t": 0.5},
             "support": {
                 "regime": "t<1", "K_minus": 0.02835013639061783,
@@ -392,8 +412,7 @@ class TestRecordedPayloads:
             "quadrature_moments": [0.49999999999999994],
             "grid": {
                 "x": [0.028350140771417558, 2.2187500000000004, 4.409149859228583],
-                "density": [0.0007816560996941404, 0.06129550263259492,
-                            1.5581826326575035e-06],
+                "density": exact,
             },
         })
 

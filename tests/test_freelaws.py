@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from freebessel.freelaws import (
     _curve,
-    _physical_roots,
     _theta_min,
     density,
     density_grid,
@@ -36,6 +35,38 @@ def _stieltjes_poly_coeffs(s: int, t: float, x: float) -> np.ndarray:
     coeffs[s] += -x
     coeffs[s + 1] += 1.0
     return coeffs
+
+
+def physical_roots(s: int, t: float, xs: np.ndarray) -> np.ndarray:
+    """G(x - i0) at each x in (K_-, K_+), each point on its own: the companion oracle.
+
+    Of the roots of x^s G^(s+1) + (t-1) x^(s-1) G^s - x G + 1, the physical
+    one has Im G <= 0 and the largest real part.  The companion matrices are
+    those np.roots builds, with the coefficients raised by scalar powers, and
+    are solved in one stacked eigvals call.  x^s underflows at large s.
+    """
+    coeffs = np.zeros((len(xs), s + 2))
+    coeffs[:, 0] = [x**s for x in xs.tolist()]
+    # accumulate: for s = 1 the G^s and G terms share a column
+    coeffs[:, 1] += [(t - 1) * x ** (s - 1) for x in xs.tolist()]
+    coeffs[:, s] += -xs
+    coeffs[:, s + 1] = 1.0
+    companion = np.zeros((len(xs), s + 1, s + 1))
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, np.arange(1, s + 1), np.arange(s)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    real = np.where(roots.imag <= 0, roots.real, -np.inf)
+    return roots[np.arange(len(xs)), np.argmax(real, axis=1)]
+
+
+def companion_density(s: int, t: float, xs) -> np.ndarray:
+    """The density by the companion oracle, 0 outside (K_-, K_+)."""
+    xs = np.asarray(xs, dtype=float)
+    sup = support(s, t)
+    rho = np.zeros(xs.shape)
+    bulk = (xs > float(sup.K_minus)) & (xs < float(sup.K_plus))
+    rho[bulk] = np.maximum(-physical_roots(s, t, xs[bulk]).imag / np.pi, 0.0)
+    return rho
 
 
 def g_tail(s, t, x: float, terms: int = 60) -> complex:
@@ -324,14 +355,23 @@ class TestDensity:
 
     def test_branch_is_lower_half_plane(self):
         xs = np.linspace(0.2, 6.7, 60)
-        gs = _physical_roots(2, 1.0, xs)
+        gs = physical_roots(2, 1.0, xs)
         assert np.all(gs.imag <= 0)
 
     @pytest.mark.parametrize("s", range(1, 7))
     @pytest.mark.parametrize("t", [0.35, 0.8, 1.0, 2.5])
     def test_matches_continuation_on_quadrature_nodes(self, s, t):
+        # the oracle's own error, up to 8.8e-10 of the peak, is most of the gap
         xs = graded_path(s, t)
-        assert np.array_equal(density(s, t, xs), continued_density(s, t, xs))
+        oracle = continued_density(s, t, xs)
+        assert np.max(np.abs(density(s, t, xs) - oracle)) <= 1e-9 * oracle.max()
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    @pytest.mark.parametrize("t", [0.01, 0.3, 0.99, 1.0, 1.01, 2.5, 30.0])
+    def test_matches_companion_on_grid(self, s, t):
+        xs = np.array(density_grid(s, t).abscissae)
+        oracle = companion_density(s, t, xs)
+        assert np.max(np.abs(density(s, t, xs) - oracle)) <= 2e-9 * oracle.max()
 
     @pytest.mark.parametrize("s, t", [(2, 0.5), (3, 0.1), (4, 2.0), (6, 0.8)])
     def test_single_point_equals_dense_call(self, s, t):
@@ -345,15 +385,17 @@ class TestDensity:
         x = 0.33300264
         value = density(3, 0.1, x)
         assert value == pytest.approx(0.090045, abs=1e-6)
-        assert value == continued_density(3, 0.1, np.append(graded_path(3, 0.1), x))[-1]
+        oracle = continued_density(3, 0.1, np.append(graded_path(3, 0.1), x))
+        assert abs(value - oracle[-1]) <= 1e-9 * oracle.max()
 
     def test_first_grid_point_near_left_edge(self):
         # the continuation along the 400-point grid alone gave 61.3 here
         grid = density_grid(3, 0.75)
-        path = np.append(graded_path(3, 0.75), grid.abscissae[0])
-        assert grid.values[0] == continued_density(3, 0.75, path)[-1] < 1
+        oracle = continued_density(3, 0.75, np.append(graded_path(3, 0.75), grid.abscissae[0]))
+        assert abs(grid.values[0] - oracle[-1]) <= 1e-9 * oracle.max()
+        assert grid.values[0] < 1
 
-    @pytest.mark.parametrize("s", range(1, 7))
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6, 85, 100])
     def test_haagerup_moller_curve_at_t_one(self, s):
         # Haagerup-Moller (arXiv:1211.4457): the Fuss-Catalan density as a
         # curve (x(phi), rho(phi)), 0 < phi < pi/(s+1)
@@ -367,15 +409,46 @@ class TestDensity:
     @pytest.mark.parametrize("t", [0.3, 0.99, 1.0, 1.01, 2.5])
     def test_curve_matches_root_solve(self, s, t):
         # the curve u = xG, the Haagerup-Moller form above at every t, against
-        # the pointwise root solve, on a theta grid away from both ends
+        # the companion oracle, on a theta grid away from both ends
         if t < 1:
             end, roots = _theta_min(s, t), (0, 1)
         else:
             end, roots = -np.pi / (s + 1 if t == 1 else s), (None,)
         thetas = end * np.linspace(0.98, 0.02, 60)
         for root in roots:
-            u, xs, _ = _curve(s, t, thetas, root)
-            assert np.allclose(density(s, t, xs), -u.imag / (np.pi * xs), rtol=1e-7, atol=0)
+            u, xs, *_ = _curve(s, t, thetas, root)
+            oracle = companion_density(s, t, xs)
+            assert np.allclose(oracle, -u.imag / (np.pi * xs), rtol=1e-7, atol=0)
+
+    @pytest.mark.parametrize("s, t", [(43, 0.5), (69, 0.1), (85, 1.0), (200, 2.0)])
+    def test_large_s_grid(self, s, t):
+        # x^s underflows in the companion matrix here; the curve holds no x^s
+        values = np.array(density_grid(s, t).values)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0) and values.max() > 0
+
+    @pytest.mark.parametrize("s, t", [(2, 0.5), (5, 0.01), (7, 0.01), (3, 2.0), (1, 1.0)])
+    def test_points_within_ulps_of_an_edge(self, s, t):
+        # rounding can put these past the end of the curve, where no first-order
+        # step along it holds
+        sup = support(s, t)
+        edges = [(float(sup.K_plus), -1)] + [(float(sup.K_minus), 1)] * (sup.K_minus > 0)
+        xs = np.array([e + d * k * np.spacing(e) for e, d in edges for k in range(1, 6)])
+        values = density(s, t, xs)
+        assert np.all((values >= 0) & (values <= 1e-6 * max(density_grid(s, t).values)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            density(2, 0.5, float("nan"))
+        with pytest.raises(ValueError):
+            density(2, 0.5, np.array([1.0, np.nan]))
+
+    def test_below_curve_resolution_near_zero(self):
+        # x ~ (theta - start)^2 at s = 1, t = 1: theta holds x down to about 1e-19
+        x = np.array([1e-15, 1e-10])
+        expected = np.sqrt(4 / x - 1) / (2 * np.pi)
+        assert np.allclose(density(1, 1.0, x), expected, rtol=1e-9, atol=0)
+        with pytest.raises(ValueError, match="resolution"):
+            density(1, 1.0, 1e-25)
 
     def test_rejects_fractional_s(self):
         # s = 1.5 must not pair the density of s = 1 with the support of s = 1.5
