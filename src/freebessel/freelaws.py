@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
+from math import lcm, sqrt
 
 import numpy as np
 
@@ -44,14 +44,23 @@ def moment(s, t, k: int) -> Fraction:
 
 @lru_cache(maxsize=65536)
 def _moment_cached(s: Fraction, t: Fraction, k: int) -> Fraction:
-    # homogeneous Horner in integers: with t = a/b and c_j = n_j/d, the moment
-    # is sum_j n_j a^j b^(k-j) / (d b^k)
-    nums, d = _over_common_denominator(fuss_narayana_poly(s, k))
-    a, b = t.numerator, t.denominator
+    total, d = _scaled_moment(s, t.numerator, t.denominator, k)
+    return Fraction(total, d * t.denominator**k)
+
+
+@lru_cache(maxsize=4096)  # keyed by s = p/q as integers, which hash faster than a Fraction
+def _narayana_ints(p: int, q: int, k: int) -> tuple[list[int], int]:
+    return _over_common_denominator(fuss_narayana_poly(Fraction(p, q), k))
+
+
+def _scaled_moment(s: Fraction, a: int, b: int, k: int) -> tuple[int, int]:
+    """(n, d) with b^k m_k = n/d at t = a/b: with the coefficients c_j = n_j/d, n is the
+    sum of n_j a^j b^(k-j), by homogeneous Horner in integers."""
+    nums, d = _narayana_ints(s.numerator, s.denominator, k)
     total = 0
     for j, c in enumerate(reversed(nums)):
         total = total * a + c * b**j
-    return Fraction(total, d * b**k)
+    return total, d
 
 
 def moments_via_series(s, t, order: int) -> MomentSequence:
@@ -86,7 +95,8 @@ def phi(s: float, t: float, w: float) -> float:
     sf = float(s)
     if ratio < 0 and sf != int(sf):
         raise ValueError(f"branch violation: ((1-w)/(1-(1-t)w)) = {ratio} < 0")
-    return t * w * ratio**sf
+    with np.errstate(over="ignore"):  # inf past the double range: K_- = t/Phi(w_+) is then 0
+        return t * w * float(np.float64(ratio) ** sf)
 
 
 def _critical_points(s: float, t: float) -> tuple[float, float]:
@@ -325,28 +335,31 @@ class ProbeReport:
 def existence_probe(s, t, order: int = 6) -> ProbeReport:
     """Stieltjes moment-problem probe: is each leading block of H0 and H1 PSD?
 
-    H0 = (m_(i+j)) and H1 = (m_(i+j+1)), 0 <= i,j <= order, from the exact
-    moments times their common denominator, go through integer Bareiss
-    elimination: the k-th pivot is the k x k leading minor (less any dropped
-    row), so the first negative pivot is the first failing minor.  A zero
-    pivot's row is dropped; its first nonzero entry b, if any, fails the block
-    that b enters, since that block then holds [[0, b], [b, c]].
+    H0 = (m_(i+j)) and H1 = (m_(i+j+1)), 0 <= i,j <= order, enter as the integers
+    L b^k m_k (t = a/b, L the lcm of their denominators): the positive congruence
+    diag(b^i) H diag(b^i) keeps the sign of every minor.  They go through integer
+    Bareiss elimination, which keeps a symmetric matrix symmetric, so each row holds
+    its entries from the diagonal on: the k-th pivot is the k x k leading minor
+    (less any dropped row), so the first negative pivot is the first failing minor.
+    A zero pivot's row is dropped; its first nonzero entry b, if any, fails the
+    block that b enters, since that block then holds [[0, b], [b, c]].
     """
-    n = order + 1
-    ints, _ = _over_common_denominator(
-        [Fraction(1)] + [moment(s, t, k) for k in range(1, 2 * order + 2)]
-    )
+    n, sq, tq = order + 1, Fraction(s), Fraction(t)
+    scaled = [(1, 1)] + [_scaled_moment(sq, tq.numerator, tq.denominator, k)
+                         for k in range(1, 2 * order + 2)]
+    lcd = lcm(*(d for _, d in scaled))
+    ints = [m * (lcd // d) for m, d in scaled]
     for name, shift in (("H0", 0), ("H1", 1)):
-        rows, prev, bound = [ints[i + shift:i + shift + n] for i in range(n)], 1, n + 1
+        rows, prev, bound = [ints[2 * i + shift:i + shift + n] for i in range(n)], 1, n + 1
         for j in range(1, n + 1):
             (pivot, *head), *tail = rows
             if pivot < 0 or j == bound:
                 return ProbeReport(float(s), float(t), order, False, j, name)
             if pivot == 0:
                 bound = min(bound, j + 1 + next((i for i, b in enumerate(head) if b), n))
-                rows = [row[1:] for row in tail]
+                rows = tail
                 continue
-            rows = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], head)]
-                    for row in tail]
+            rows = [[(pivot * x - h * y) // prev for x, y in zip(row, head[i:])]
+                    for i, (row, h) in enumerate(zip(tail, head))]
             prev = pivot
     return ProbeReport(float(s), float(t), order, True)

@@ -128,6 +128,14 @@ class TestDensity:
         assert len(values) == 400
         assert all(math.isfinite(v) and v >= 0 for v in values)
 
+    def test_s_200_just_below_one(self, capsys):
+        # the critical value at w_+ overflowed in (1 - w)/(1 - (1 - t)w) to the power s
+        code, out, _ = run(capsys, "density", "--s", "200", "--t", "99/100")
+        assert code == 0
+        results = payload(out)["results"]
+        assert results["support"]["K_minus"] == 0.0
+        assert all(math.isfinite(v) and v >= 0 for v in results["grid"]["density"])
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
         code, out, _ = run(

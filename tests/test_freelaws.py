@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from freebessel.freelaws import (
     _curve,
+    _scaled_moment,
     _theta_min,
     density,
     density_grid,
@@ -22,6 +23,7 @@ from freebessel.freelaws import (
     support,
 )
 from freebessel.partitions import enumerate_nc_s, fuss_catalan, fuss_narayana_poly
+from freebessel.series import _over_common_denominator
 
 F = Fraction
 
@@ -160,7 +162,7 @@ class TestMomentKernel:
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(
-            st.sampled_from([1, 2, 3, F(5, 2), F(1, 3), F(7, 3), 0.9]),
+            st.sampled_from([1, 2, 3, F(5, 2), F(1, 3), F(7, 3), 0.9, 0.3]),
             st.fractions(min_value=F(1, 10), max_value=6, max_denominator=12),
         ),
         st.one_of(
@@ -175,11 +177,21 @@ class TestMomentKernel:
         assert type(value) is Fraction
         assert value == fraction_horner(s, t, k)
 
-    @pytest.mark.parametrize("s", [1, 3, F(5, 2), F(1, 3)])
+    @pytest.mark.parametrize("s", [1, 3, F(5, 2), F(1, 3), 0.3])
     @pytest.mark.parametrize("t", [0, 0.0, 0.3, 1e-3, -0.75, F(-3, 7), F(1, 2), 7])
     def test_cases(self, s, t):
         for k in range(1, 18):
             assert moment(s, t, k) == fraction_horner(s, t, k)
+
+    @pytest.mark.parametrize("s", [1, F(5, 2), F(1, 3), 0.3])
+    @pytest.mark.parametrize("t", [0, 0.3, F(-3, 7), F(162, 145), 7])
+    def test_scaled_kernel(self, s, t):
+        # the probe's integers: b^k m_k = n/d at t = a/b (0.3 as a Fraction has
+        # denominator 2^54 as s, and 10^k-sized powers of it as t)
+        a, b = F(t).numerator, F(t).denominator
+        for k in range(1, 18):
+            n, d = _scaled_moment(F(s), a, b, k)
+            assert F(n, d) == b**k * fraction_horner(s, t, k)
 
     def test_zero_and_negative_t(self):
         assert moment(F(5, 2), 0, 6) == 0
@@ -281,6 +293,10 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(2, 0.5, 1 / (1 - 0.5))
 
+    def test_overflow_is_inf(self):
+        # ratio^s past the double range at w_+ of (200, 0.99), where K_- = t/Phi is 0
+        assert phi(200, 0.99, support(200, 0.99).w_plus) == math.inf
+
 
 class TestSupport:
     def test_t_one(self):
@@ -312,6 +328,22 @@ class TestSupport:
         assert sup.K_plus == pytest.approx(
             (2 + (1 - 2) * w) / (w * (1 - w) ** 2) * 1 / 1, rel=1e-12
         )
+
+
+    @pytest.mark.parametrize(
+        "s, t, k_plus",
+        [(110, 0.999, 300.0714539459725), (160, 0.99, 431.94779001876293),
+         (200, 0.99, 539.59190678507183)],
+    )
+    def test_large_s_just_below_one(self, s, t, k_plus):
+        # (1 - w)/(1 - (1 - t)w) at w_+ to the power s overflowed; K_- is near 1e-330
+        # (40-digit K_+ values from the same formula)
+        sup = support(s, t)
+        assert sup.K_minus == 0.0
+        assert sup.K_plus == pytest.approx(k_plus, rel=1e-13)
+        grid = density_grid(s, t)
+        assert all(math.isfinite(v) and v >= 0 for v in grid.values)
+        assert abs(grid.quadrature_mass - t) <= 1e-8
 
 
 class TestDensity:
@@ -560,6 +592,57 @@ def _oracle(s, t, order):
             if det < 0:
                 return name, k
     return None, None
+
+
+def full_square_probe(s, t, order):
+    """(passed, failed_minor, failed_matrix): Bareiss on the full square blocks of the
+    unscaled moments over their common denominator, the probe's oracle."""
+    n = order + 1
+    ints, _ = _over_common_denominator(
+        [F(1)] + [moment(s, t, k) for k in range(1, 2 * order + 2)]
+    )
+    for name, shift in (("H0", 0), ("H1", 1)):
+        rows, prev, bound = [ints[i + shift:i + shift + n] for i in range(n)], 1, n + 1
+        for j in range(1, n + 1):
+            (pivot, *head), *tail = rows
+            if pivot < 0 or j == bound:
+                return False, j, name
+            if pivot == 0:
+                bound = min(bound, j + 1 + next((i for i, b in enumerate(head) if b), n))
+                rows = [row[1:] for row in tail]
+                continue
+            rows = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], head)]
+                    for row in tail]
+            prev = pivot
+    return True, None, None
+
+
+def _grid(lo, hi, count):
+    return [F(lo) + (F(hi) - F(lo)) * i / (count - 1) for i in range(count)]
+
+
+_ZERO_PIVOT_CELLS = [(0, F(1, 2)), (0, 1), (0, 2), (F(1, 2), 2), (F(3, 5), F(5, 2)),
+                     (F(4, 5), F(5, 2))]
+
+
+class TestProbeOracle:
+    @pytest.mark.parametrize(
+        "s_grid, t_grid, order",
+        [((F(1, 10), 3, 30), (F(1, 10), 6, 30), 8), ((0, 2, 21), (0, 8, 17), 6)],
+        ids=["benchmark-grid", "zero-pivot-grid"],
+    )
+    def test_matches_full_square_probe(self, s_grid, t_grid, order):
+        for s in _grid(*s_grid):
+            for t in _grid(*t_grid):
+                r = existence_probe(s, t, order)
+                assert (r.passed, r.failed_minor, r.failed_matrix) == full_square_probe(
+                    s, t, order), (s, t)
+
+    @pytest.mark.parametrize("order", [6, 8])
+    @pytest.mark.parametrize("s, t", _ZERO_PIVOT_CELLS)
+    def test_zero_pivot_cells(self, s, t, order):
+        r = existence_probe(s, t, order)
+        assert (r.passed, r.failed_minor, r.failed_matrix) == full_square_probe(s, t, order)
 
 
 class TestExistenceProbe:
