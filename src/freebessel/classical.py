@@ -14,6 +14,8 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable
 
+from .partitions import ArgumentError
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(s: int) -> tuple[int, ...]:
@@ -167,31 +169,13 @@ class DiscreteMeasure:
 
 
 def exp_s(s: int, z: complex) -> complex:
-    """The level-s exponential sum(z^(sk)/(sk)!).
-
-    Evaluated by the averaged form (1/s) sum_k exp(w^k z) for large |z|,
-    and by the defining series otherwise.
-    """
+    """The level-s exponential sum(z^(sk)/(sk)!), by the averaged form (1/s) sum_k exp(w^k z)."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    if abs(z) > 1:
-        w = cmath.exp(2j * cmath.pi / s)
-        val = sum(cmath.exp(w**k * z) for k in range(1, s + 1)) / s
-    else:
-        val = 0j
-        term = 1.0 + 0j
-        k = 0
-        while True:
-            val += term
-            k += 1
-            next_term = term * z**s
-            for j in range(s * (k - 1) + 1, s * k + 1):
-                next_term /= j
-            term = next_term
-            if abs(term) < 1e-18:
-                break
+    w = cmath.exp(2j * cmath.pi / s)
+    val = sum(cmath.exp(w**k * z) for k in range(1, s + 1)) / s
     if isinstance(z, (int, float)):
-        return complex(val).real
+        return val.real
     return val
 
 
@@ -204,10 +188,12 @@ def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     Fourier tail at |z| > 1 (s = 1, t = 1.34: fourier(m, 1.2) is off by 2.5e-5
     while the deficit is 8e-15); pass a larger p_max there.
     """
+    if not t > 0:
+        raise ArgumentError("bessel_law needs t > 0")
     if p_max is None:
         p_max = math.ceil(10 + 5 * t)
     if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+        raise ArgumentError("p_max must be >= 1")
     lam = t / s
     pmf = [math.exp(-lam)]  # Poisson(lam) weights at p = 0..p_max
     for p in range(1, p_max + 1):

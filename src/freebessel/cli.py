@@ -1,7 +1,8 @@
 """Command-line frontend: every computation, reproducible seeds, JSON/CSV output.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 region guard
-(parameters inside the critical rectangle without --force).
+Exit codes: 0 success, 1 usage error (an ArgumentError: an input outside a
+function's domain), 2 numeric failure, 3 region guard (parameters inside the
+critical rectangle without --force).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .freelaws import (
     moment,
     moments_via_series,
     quadrature_moments,
-    support,
 )
 from .matrixlab import (
     dw_model_mc,
@@ -34,8 +34,8 @@ from .matrixlab import (
 )
 from .partitions import (
     DEFAULT_ENUM_BOUND,
+    ArgumentError,
     ColoredWord,
-    EnumerationBoundError,
     count_balanced,
     count_nc_s,
     enumerate_balanced,
@@ -50,10 +50,6 @@ EXIT_NUMERIC = 2
 EXIT_REGION = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class RegionError(Exception):
     pass
 
@@ -62,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
 
     def error(self, message):
-        raise UsageError(message)
+        raise ArgumentError(message)
 
 
 def _at_least(floor: int):
@@ -81,11 +77,11 @@ def _word(text: str) -> ColoredWord:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _rational(text: str) -> Fraction:
+def rational(text: str) -> Fraction:  # argparse names it in "invalid rational value"
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r}") from exc
+        raise ArgumentError(f"not a rational number: {text!r}") from exc
 
 
 def _fmt(value):
@@ -107,14 +103,14 @@ def _grid_spec(text: str) -> list[Fraction]:
     """Parse 'start:stop:count' into evenly spaced exact rationals (endpoints included)."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid must be start:stop:count, got {text!r}")
-    lo, hi = _rational(parts[0]), _rational(parts[1])
+        raise ArgumentError(f"grid must be start:stop:count, got {text!r}")
+    lo, hi = rational(parts[0]), rational(parts[1])
     try:
         n = int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"bad grid spec {text!r}") from exc
+        raise ArgumentError(f"bad grid spec {text!r}") from exc
     if n < 1:
-        raise UsageError("grid count must be >= 1")
+        raise ArgumentError("grid count must be >= 1")
     if n == 1:
         return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
@@ -138,7 +134,9 @@ def _emit(payload: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _report(config: dict, results, started: float) -> str:
+def _report(args: argparse.Namespace, results, started: float) -> str:
+    """The payload: the parsed flags as config, then results, wall time and version."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out_path", "format")}
     return json.dumps(
         {
             "config": _fmt(config),
@@ -154,14 +152,14 @@ def _report(config: dict, results, started: float) -> str:
 
 
 def cmd_moments(args, started: float) -> str:
-    s, t = _rational(args.s), _rational(args.t)
+    s, t = args.s, args.t
     if s <= 0 or t <= 0:
-        raise UsageError("need s,t > 0")
+        raise ArgumentError("need s,t > 0")
     _guard_region(s, t, args.force)
-    order = max(args.order, args.k)
+    args.order = max(args.order, args.k)
     series = None
     if s >= 1 or t <= 1:
-        series = moments_via_series(s, t, order)
+        series = moments_via_series(s, t, args.order)
     rows = []
     for k in range(1, args.k + 1):
         closed = moment(s, t, k)
@@ -176,41 +174,31 @@ def cmd_moments(args, started: float) -> str:
             agree = agree and part == closed
         row["agree"] = agree
         rows.append(row)
-    config = {"command": "moments", "s": s, "t": t, "k": args.k, "order": order,
-              "force": args.force}
-    return _report(config, {"moments": rows}, started)
+    return _report(args, {"moments": rows}, started)
 
 
 def cmd_density(args, started: float) -> str:
-    s, t = _rational(args.s), _rational(args.t)
-    if s.denominator != 1 or s < 1 or t <= 0:
-        raise UsageError("density needs integer s >= 1 and t > 0")
-    grid = replace(density_grid(int(s), float(t), n_points=args.grid_points),
-                   quadrature_moments=quadrature_moments(int(s), float(t), args.k)[1:])
+    grid = replace(density_grid(args.s, args.t, n_points=args.grid_points),
+                   quadrature_moments=quadrature_moments(args.s, args.t, args.k)[1:])
     if args.format == "csv":
         return grid.to_csv()
-    config = {"command": "density", "s": s, "t": t, "grid_points": args.grid_points,
-              "k": args.k}
-    return _report(config, grid.as_dict(), started)
+    return _report(args, grid.as_dict(), started)
 
 
 def cmd_partitions(args, started: float) -> str:
     s = args.s
-    config: dict = {"command": "partitions", "s": s}
     if args.word is not None:
-        t = _rational(args.t)
         results = {
             "word": args.word,
             "count": sum(count_balanced(s, args.word)),
-            "star_moment": star_moment(s, t, args.word),
+            "star_moment": star_moment(s, args.t, args.word),
             "blocks": [[list(b) for b in p.blocks] for p in enumerate_balanced(s, args.word)]
             if args.list
             else None,
         }
-        config.update({"word": args.word, "t": t})
     else:
         if args.k is None:
-            raise UsageError("need --k (or --word)")
+            raise ArgumentError("need --k (or --word)")
         results = {
             "k": args.k,
             "count": sum(count_nc_s(s, args.k)),
@@ -220,8 +208,7 @@ def cmd_partitions(args, started: float) -> str:
             if args.list
             else None,
         }
-        config["k"] = args.k
-    return _report(config, results, started)
+    return _report(args, results, started)
 
 
 def cmd_mc(args, started: float) -> str:
@@ -231,56 +218,39 @@ def cmd_mc(args, started: float) -> str:
         rep = dw_model_mc(args.s, args.dim, args.k, args.trials, args.seed,
                           power=args.power)
     else:  # character
-        t = _rational(args.t)
-        if args.word is None or args.dim < 4 or not 0 < t <= 1:
-            raise UsageError("character model needs --word, dim >= 4 and t in (0, 1]")
-        rep = hns_character_mc(args.s, args.dim, float(t), args.trials, args.seed, args.word)
-    config = {"command": "mc", "model": args.model, "s": args.s, "k": args.k,
-              "dim": args.dim, "trials": args.trials, "seed": args.seed,
-              "t": args.t, "word": args.word, "power": args.power}
-    return _report(config, rep.as_dict(), started)
+        if args.word is None:
+            raise ArgumentError("the character model needs --word")
+        rep = hns_character_mc(args.s, args.dim, float(args.t), args.trials, args.seed,
+                               args.word)
+    return _report(args, rep.as_dict(), started)
 
 
 def cmd_glm(args, started: float) -> str:
-    d_spec = args.d_spec or ("roots" if args.s else "identity")
-    if d_spec == "roots" and (args.s is None or args.K % args.s):
-        raise UsageError("--d-spec roots needs an --s that divides --K")
-    poly = glm_exact(args.K, args.s, d_spec)
+    args.d_spec = args.d_spec or ("roots" if args.s else "identity")
+    poly = glm_exact(args.K, args.s, args.d_spec)
     results: dict = {
         "polynomial": {str(e): c for e, c in poly.items()},
         "constant_term": poly.get(0, Fraction(0)),
     }
     if args.dim is not None:
         results["value_at_dim"] = glm_eval(poly, float(args.dim))
-    config = {"command": "glm", "K": args.K, "s": args.s, "d_spec": d_spec,
-              "dim": args.dim}
-    return _report(config, results, started)
+    return _report(args, results, started)
 
 
 def cmd_classical(args, started: float) -> str:
-    t = float(_rational(args.t))
-    if t <= 0:
-        raise UsageError("need t > 0")
-    m = bessel_law(args.s, t, p_max=args.p_max)
+    m = bessel_law(args.s, float(args.t), p_max=args.p_max)
     if args.pushforward:
         m = power_pushforward(m, args.s)
     results = m.as_dict()
     if args.k:
         results["real_moments"] = m.real_moments(args.k)
-    config = {"command": "classical", "s": args.s, "t": args.t,
-              "p_max": args.p_max, "pushforward": args.pushforward, "k": args.k}
-    return _report(config, results, started)
+    return _report(args, results, started)
 
 
 def cmd_weingarten(args, started: float) -> str:
-    t = _rational(args.t)
-    if not 0 < t <= 1:
-        raise UsageError("weingarten needs t in (0, 1]")
-    value = weingarten_finite_n(args.s, args.word, args.n, float(t))
-    config = {"command": "weingarten", "s": args.s, "word": args.word,
-              "n": args.n, "t": t}
-    results = {"finite_n": value, "limit": star_moment(args.s, t, args.word)}
-    return _report(config, results, started)
+    value = weingarten_finite_n(args.s, args.word, args.n, float(args.t))
+    results = {"finite_n": value, "limit": star_moment(args.s, args.t, args.word)}
+    return _report(args, results, started)
 
 
 def cmd_probe(args, started: float) -> str:
@@ -296,9 +266,7 @@ def cmd_probe(args, started: float) -> str:
                 f"{'' if r.failed_matrix is None else r.failed_matrix}"
             )
         return "\n".join(lines) + "\n"
-    config = {"command": "probe", "s_grid": args.s_grid, "t_grid": args.t_grid,
-              "order": args.order}
-    return _report(config, {"cells": [r.as_dict() for r in reports]}, started)
+    return _report(args, {"cells": [r.as_dict() for r in reports]}, started)
 
 
 # --- parser -------------------------------------------------------------------
@@ -310,8 +278,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="exact moment table with route agreement")
-    p.add_argument("--s", required=True)
-    p.add_argument("--t", required=True)
+    p.add_argument("--s", type=rational, required=True)
+    p.add_argument("--t", type=rational, required=True)
     p.add_argument("--k", type=_at_least(1), default=6)
     p.add_argument("--order", type=int, default=16)
     p.add_argument("--force", action="store_true",
@@ -319,8 +287,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("density", help="density grid, support, quadrature mass")
-    p.add_argument("--s", required=True)
-    p.add_argument("--t", required=True)
+    p.add_argument("--s", type=rational, required=True)
+    p.add_argument("--t", type=rational, required=True)
     p.add_argument("--grid-points", type=_at_least(1), default=400)
     p.add_argument("--k", type=_at_least(0), default=4, help="quadrature moments to report")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -330,7 +298,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=_at_least(1), required=True)
     p.add_argument("--k", type=_at_least(0))
     p.add_argument("--word", type=_word, help="letters u and * (conjugate), e.g. uu**")
-    p.add_argument("--t", default="1")
+    p.add_argument("--t", type=rational, default="1")
     p.add_argument("--list", action="store_true", help="include the block lists")
     p.set_defaults(func=cmd_partitions)
 
@@ -341,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=_at_least(1), default=64)
     p.add_argument("--trials", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", default="1")
+    p.add_argument("--t", type=rational, default="1")
     p.add_argument("--word", type=_word)
     p.add_argument("--power", type=_at_least(1), help="explicit trace power for the dw model")
     p.set_defaults(func=cmd_mc)
@@ -355,7 +323,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classical", help="discrete Bessel law atoms and moments")
     p.add_argument("--s", type=_at_least(1), required=True)
-    p.add_argument("--t", required=True)
+    p.add_argument("--t", type=rational, required=True)
     p.add_argument("--p-max", type=_at_least(1), default=None)
     p.add_argument("--pushforward", action="store_true",
                    help="push forward through x -> x^s")
@@ -366,7 +334,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=_at_least(1), required=True)
     p.add_argument("--word", type=_word, required=True)
     p.add_argument("--n", type=_at_least(4), required=True)
-    p.add_argument("--t", default="1")
+    p.add_argument("--t", type=rational, default="1")
     p.set_defaults(func=cmd_weingarten)
 
     p = sub.add_parser("probe", help="moment-positivity sweep over a parameter grid")
@@ -387,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         payload = args.func(args, started)
-    except (UsageError, EnumerationBoundError) as exc:
+    except ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RegionError as exc:

@@ -14,7 +14,7 @@ from math import lcm, sqrt
 
 import numpy as np
 
-from .partitions import fuss_narayana_poly
+from .partitions import ArgumentError, fuss_narayana_poly
 from .series import (
     MomentSequence,
     _over_common_denominator,
@@ -227,8 +227,8 @@ def _pieces(s: int, t: float):
     """s, t, start, p, [(end, root), ...]: pieces of _curve with x(theta) monotone, meeting at
     x(start) (0 at t = 1).  The first rises to K_+; a second falls to K_- (t < 1) or to 0 at
     -pi/s (t > 1).  p grades the quadrature nodes."""
-    if int(s) != s or s < 1:
-        raise ValueError("density requires integer s >= 1")
+    if int(s) != s or s < 1 or not t > 0:
+        raise ArgumentError("density requires integer s >= 1 and t > 0")
     s, t = int(s), float(t)
     if t < 1:
         return s, t, _theta_min(s, t), 2, [(0.0, 0), (0.0, 1)]
@@ -305,17 +305,18 @@ def density(s: int, t: float, x) -> float | np.ndarray:
 
 def density_grid(s: int, t: float, n_points: int = 400) -> DensityGrid:
     """Density sampled on a support-covering grid, plus quadrature mass."""
+    s, t = _pieces(s, t)[:2]  # the domain check, before support divides by t
     sup = support(s, t)
     a, b = float(sup.K_minus), float(sup.K_plus)
     eps = (b - a) * 1e-9
     grid = np.linspace(a + eps if a > 0 else b * 1e-6, b - eps, n_points)
     return DensityGrid(
         abscissae=tuple(grid.tolist()),
-        values=tuple(density(s, float(t), grid).tolist()),
+        values=tuple(density(s, t, grid).tolist()),
         s=float(s),
-        t=float(t),
+        t=t,
         support_info=sup,
-        quadrature_mass=quadrature_moments(s, float(t), 0)[0],
+        quadrature_mass=quadrature_moments(s, t, 0)[0],
     )
 
 

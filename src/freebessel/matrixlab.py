@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .partitions import (
+    ArgumentError,
     ColoredWord,
     EnumerationBoundError,
     count_balanced,
@@ -66,7 +67,13 @@ def _report(statistic: str, samples: Sequence[float], dim: int, seed: int) -> MC
 def _check_mc_args(s: int, dim: int, trials: int, powers: Sequence[int] = (1,)) -> None:
     """Refuse the inputs for which a Monte Carlo run gives no estimate."""
     if not powers or min(s, dim, trials, *powers) < 1:
-        raise ValueError("s, N, trials and every power must be >= 1, with powers nonempty")
+        raise ArgumentError("s, N, trials and every power must be >= 1, with powers nonempty")
+
+
+def _check_character_args(n: int, t: float) -> None:
+    """The domain of the truncated character and the Weingarten sum: n >= 4, t in (0, 1]."""
+    if n < 4 or not 0 < t <= 1:
+        raise ArgumentError(f"need n >= 4 and t in (0, 1], got n = {n}, t = {t}")
 
 
 def sample_ginibre(
@@ -229,14 +236,11 @@ def glm_exact(
     if K > GLM_MAX_K:
         raise EnumerationBoundError(f"K = {K} exceeds the hook-character bound {GLM_MAX_K}")
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise ArgumentError("K must be >= 1")
     if d_spec not in ("identity", "roots"):
-        raise ValueError(d_spec)
-    if d_spec == "roots":
-        if s is None or s < 1:
-            raise ValueError("roots spec needs s >= 1")
-        if K % s != 0:
-            raise ValueError("roots spec needs s | K")
+        raise ArgumentError(f"unknown d_spec {d_spec!r}")
+    if d_spec == "roots" and (s is None or s < 1 or K % s):
+        raise ArgumentError(f"the roots spec needs an s >= 1 that divides K = {K}, got s = {s}")
     # content polynomials of the hooks, coefficient lists in q
     contents = []
     for r in range(K):
@@ -294,10 +298,7 @@ def hns_character_mc(
     entries with index <= floor(t n).
     """
     _check_mc_args(s, n, trials)
-    if not 0 < t <= 1:
-        raise ValueError("t must be in (0, 1]")
-    if n < 4:
-        raise ValueError("n must be >= 4")
+    _check_character_args(n, t)
     m = int(math.floor(t * n))
     samples = []
     for i in range(trials):
@@ -357,10 +358,7 @@ def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: float) -> float:
     Converges to star_moment(s, t, word) as n grows.  Computed exactly when the
     matrix is small and n is integral, in floats otherwise.
     """
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    if not 0 < t <= 1:
-        raise ValueError("t must be in (0, 1]")
+    _check_character_args(n, t)
     dim = sum(count_balanced(s, word))  # refuse a large Gram matrix before listing its rows
     if not dim:
         return 0.0

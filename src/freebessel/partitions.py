@@ -9,7 +9,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -19,7 +19,11 @@ U = 1
 UBAR = -1
 
 
-class EnumerationBoundError(ValueError):
+class ArgumentError(ValueError):
+    """Raised for an input outside the domain of the function it is passed to."""
+
+
+class EnumerationBoundError(ArgumentError):
     """Raised when an enumeration would exceed the configured ground-size bound."""
 
 
@@ -185,7 +189,6 @@ def fuss_catalan(s, k: int) -> Fraction:
     return num / factorial(k)
 
 
-@lru_cache(maxsize=128)
 def fuss_narayana_poly(s, k: int) -> tuple[Fraction, ...]:
     """Coefficients (c_0..c_k) of the block-count refinement of fuss_catalan.
 

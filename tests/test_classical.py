@@ -21,6 +21,7 @@ from freebessel.classical import (
     roots_of_unity_measure,
     total_variation,
 )
+from freebessel.partitions import ArgumentError
 from freebessel.series import MomentSequence, classical_cumulants
 
 
@@ -130,6 +131,14 @@ class TestBesselLaw:
 
     def test_symmetry_in_r(self):
         assert bessel_s2_weight(0.7, 3) == bessel_s2_weight(0.7, -3)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ArgumentError):
+            bessel_law(2, -1.0)  # negative Poisson weights otherwise
+        with pytest.raises(ArgumentError):
+            bessel_law(2, 0.0)
+        with pytest.raises(ArgumentError):
+            bessel_law(2, 1.0, p_max=0)
 
     def test_weight_to_zero_t(self):
         assert bessel_s2_weight(1e-12, 0) == pytest.approx(1.0)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: payloads, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -291,14 +292,19 @@ class TestProbeCommand:
         assert out.splitlines()[9].split(",")[0] == "0.9"
 
 
+def readme_examples():
+    """The argument lists of the `freebessel ...` lines in the README's command-line block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("freebessel ")]
+
+
 class TestReadmeExamples:
     """Each `freebessel ...` line of the README's command-line block runs and exits 0."""
 
     def test_examples_run(self, capsys):
-        text = (Path(__file__).parents[1] / "README.md").read_text()
-        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-        lines = [shlex.split(line, comments=True) for line in block.splitlines()
-                 if line.startswith("freebessel ")]
+        lines = readme_examples()
         assert len(lines) == 8
         for argv in lines:
             if argv[1] == "mc":
@@ -311,6 +317,20 @@ class TestReadmeExamples:
                 assert header in ("x,density", "s,t,passed,failed_minor,failed_matrix")
             else:
                 payload(out)
+
+    def test_config_echoes_parsed_flags(self, capsys):
+        # config holds every destination of the subcommand's parser, in parser order
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for argv in readme_examples():
+            argv = [a for a in argv[1:] if a not in ("--format", "csv")]
+            if argv[0] == "mc":
+                argv += ["--dim", "4", "--trials", "2"]  # the last value of a flag wins
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            dests = [a.dest for a in sub.choices[argv[0]]._actions
+                     if a.dest not in ("help", "out_path", "format")]
+            assert list(payload(out)["config"]) == ["command", *dests]
 
 
 class TestModuleEntryPoint:
@@ -366,6 +386,11 @@ class TestArgumentErrors:
             ["glm", "--K", "4", "--dim", "0"],
             ["glm", "--K", "4", "--dim", "nan"],
             ["glm", "--K", "4", "--dim", "inf"],
+            ["density", "--s", "2", "--t", "0"],
+            ["density", "--s", "2", "--t", "-1"],
+            ["classical", "--s", "2", "--t", "0"],
+            ["mc", "--model", "dw", "--s", "2", "--t", "x"],
+            ["partitions", "--s", "1", "--k", "3", "--t", "x"],
         ],
     )
     def test_exit_one(self, capsys, argv):

@@ -22,7 +22,7 @@ from freebessel.freelaws import (
     quadrature_moments,
     support,
 )
-from freebessel.partitions import enumerate_nc_s, fuss_catalan, fuss_narayana_poly
+from freebessel.partitions import ArgumentError, enumerate_nc_s, fuss_catalan, fuss_narayana_poly
 from freebessel.series import _over_common_denominator
 
 F = Fraction
@@ -490,6 +490,12 @@ class TestDensity:
             density_grid(1.5, 1.0)
         with pytest.raises(ValueError):
             quadrature_moments(1.5, 1.0, 2)
+
+    def test_rejects_t_not_positive(self):
+        # the check comes before support, which divides by t
+        for t in (0.0, -1.0, float("nan")):
+            with pytest.raises(ArgumentError):
+                density_grid(2, t)
 
 
 class TestQuadrature:

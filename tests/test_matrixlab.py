@@ -29,6 +29,7 @@ from freebessel.matrixlab import (
     weingarten_finite_n,
 )
 from freebessel.partitions import (
+    ArgumentError,
     ColoredWord,
     EnumerationBoundError,
     enumerate_balanced,
@@ -247,7 +248,7 @@ class TestProductModel:
                  id="character s 0"),
 ])
 def test_mc_refuses_inputs_without_an_estimate(call):
-    with pytest.raises(ValueError, match="must be >= 1"):
+    with pytest.raises(ArgumentError, match="must be >= 1"):
         call()
 
 
@@ -353,8 +354,9 @@ class TestGLMExact:
             geodesic_count(3, 7)
 
     def test_roots_requires_divisibility(self):
-        with pytest.raises(ValueError):
-            glm_exact(3, 2, "roots")
+        for K, s in ((3, 2), (8, 3), (4, None)):
+            with pytest.raises(ArgumentError):
+                glm_exact(K, s, "roots")
 
 
 class TestGeodesics:
@@ -397,8 +399,9 @@ class TestCharacters:
             assert within_3se(rep, target)
 
     def test_rejects_bad_t(self):
-        with pytest.raises(ValueError):
-            hns_character_mc(1, 50, 1.5, 10, 0, ColoredWord.from_string("u"))
+        for n, t in ((50, 1.5), (50, 2.0), (3, 0.5)):  # and n below 4
+            with pytest.raises(ArgumentError):
+                hns_character_mc(1, n, t, 10, 0, ColoredWord.from_string("u"))
 
 
 class TestWeingarten:
@@ -437,8 +440,12 @@ class TestWeingarten:
 
     def test_rejects_t_outside_unit_interval(self):
         for t in (2.0, -1.0, 0.0):
-            with pytest.raises(ValueError):
+            with pytest.raises(ArgumentError):
                 weingarten_finite_n(2, ColoredWord.from_string("uu**"), 8, t)
+
+    def test_rejects_small_n(self):
+        with pytest.raises(ArgumentError):
+            weingarten_finite_n(2, ColoredWord.from_string("uu**"), 3, 1.0)
 
     def test_gram_bound(self):
         # u^7 (dim 429) is admitted; u^8 (dim 1430) is refused before its join table

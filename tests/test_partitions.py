@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from freebessel import cli, partitions
 from freebessel.partitions import (
+    ArgumentError,
     ColoredWord,
     EnumerationBoundError,
     SetPartition,
@@ -167,6 +168,10 @@ class TestEnumeration:
     def test_bound_error(self):
         with pytest.raises(EnumerationBoundError):
             enumerate_nc_s(3, 5)
+
+    def test_bound_error_is_an_argument_error(self):
+        assert issubclass(EnumerationBoundError, ArgumentError)
+        assert issubclass(ArgumentError, ValueError)
 
     @pytest.mark.parametrize("m", range(9))
     def test_nc_is_all_noncrossing_set_partitions(self, m):
