@@ -18,7 +18,6 @@ from .partitions import (
     ColoredWord,
     SetPartition,
     enumerate_balanced,
-    enumerate_nc,
     enumerate_nc_s,
     fuss_catalan,
     fuss_narayana_poly,
@@ -36,7 +35,6 @@ __all__ = [
     "density",
     "density_grid",
     "enumerate_balanced",
-    "enumerate_nc",
     "enumerate_nc_s",
     "existence_probe",
     "fuss_catalan",

@@ -25,7 +25,7 @@ def cyclotomic_polynomial(s: int) -> tuple[int, ...]:
     cyclotomic polynomials over proper divisors of s.
     """
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise ArgumentError("s must be >= 1")
     num = [-1] + [0] * (s - 1) + [1]  # x^s - 1
     for d in range(1, s):
         if s % d == 0:
@@ -154,7 +154,12 @@ class DiscreteMeasure:
         return total
 
     def real_moments(self, n_max: int) -> list[float]:
-        """Ordinary moments (real atoms assumed; uses the real part of the embedding)."""
+        """E (Re X)^n for n = 1..n_max, from the real parts of the atoms.
+
+        These are the moments E X^n only where every atom is real, as at s <= 2.  At
+        s = 3, t = 1/2 the pushforward gives 0.5, 3.375, 62.125 for n = 1..3, where
+        E X^n is 0.5, 3, 56.5.
+        """
         real = [(z.real, w) for z, w in zip(self.embedded, self.atoms.values())]
         return [sum(w * x**n for x, w in real) for n in range(1, n_max + 1)]
 
@@ -171,7 +176,7 @@ class DiscreteMeasure:
 def exp_s(s: int, z: complex) -> complex:
     """The level-s exponential sum(z^(sk)/(sk)!), by the averaged form (1/s) sum_k exp(w^k z)."""
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise ArgumentError("s must be >= 1")
     w = cmath.exp(2j * cmath.pi / s)
     val = sum(cmath.exp(w**k * z) for k in range(1, s + 1)) / s
     if isinstance(z, (int, float)):
@@ -282,14 +287,14 @@ def roots_of_unity_measure(s: int) -> DiscreteMeasure:
     return DiscreteMeasure(s, atoms)
 
 
-def poisson_limit(s: int, n: int, prune: float = 1e-15) -> DiscreteMeasure:
+def poisson_limit(s: int, n: int) -> DiscreteMeasure:
     """((1 - 1/n) delta_0 + (1/n) rho)^(*n), rho uniform on the s-th roots of unity.
 
-    Computed by binary powering under convolution; tiny atoms are pruned into
-    the deficit to keep the atom map manageable for large n.
+    Computed by binary powering under convolution; atoms below 1e-15 are pruned
+    into the deficit to keep the atom map manageable for large n.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ArgumentError("n must be >= 1")
     rho = roots_of_unity_measure(s)
     base_atoms = {CyclotomicInt.zero(s): 1.0 - 1.0 / n}
     for atom, w in rho.atoms.items():
@@ -300,10 +305,10 @@ def poisson_limit(s: int, n: int, prune: float = 1e-15) -> DiscreteMeasure:
     k = n
     while k:
         if k & 1:
-            result = power if result is None else convolve(result, power, prune=prune)
+            result = power if result is None else convolve(result, power, prune=1e-15)
         k >>= 1
         if k:
-            power = convolve(power, power, prune=prune)
+            power = convolve(power, power, prune=1e-15)
     assert result is not None
     return result
 

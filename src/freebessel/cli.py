@@ -156,10 +156,9 @@ def cmd_moments(args, started: float) -> str:
     if s <= 0 or t <= 0:
         raise ArgumentError("need s,t > 0")
     _guard_region(s, t, args.force)
-    args.order = max(args.order, args.k)
     series = None
     if s >= 1 or t <= 1:
-        series = moments_via_series(s, t, args.order)
+        series = moments_via_series(s, t, max(args.order, args.k))
     rows = []
     for k in range(1, args.k + 1):
         closed = moment(s, t, k)
@@ -220,14 +219,12 @@ def cmd_mc(args, started: float) -> str:
     else:  # character
         if args.word is None:
             raise ArgumentError("the character model needs --word")
-        rep = hns_character_mc(args.s, args.dim, float(args.t), args.trials, args.seed,
-                               args.word)
+        rep = hns_character_mc(args.s, args.dim, args.t, args.trials, args.seed, args.word)
     return _report(args, rep.as_dict(), started)
 
 
 def cmd_glm(args, started: float) -> str:
-    args.d_spec = args.d_spec or ("roots" if args.s else "identity")
-    poly = glm_exact(args.K, args.s, args.d_spec)
+    poly = glm_exact(args.K, args.s)
     results: dict = {
         "polynomial": {str(e): c for e, c in poly.items()},
         "constant_term": poly.get(0, Fraction(0)),
@@ -248,7 +245,7 @@ def cmd_classical(args, started: float) -> str:
 
 
 def cmd_weingarten(args, started: float) -> str:
-    value = weingarten_finite_n(args.s, args.word, args.n, float(args.t))
+    value = weingarten_finite_n(args.s, args.word, args.n, args.t)
     results = {"finite_n": value, "limit": star_moment(args.s, args.t, args.word)}
     return _report(args, results, started)
 
@@ -316,8 +313,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("glm", help="exact expected-trace polynomial in 1/M")
     p.add_argument("--K", type=_at_least(1), required=True)
-    p.add_argument("--s", type=_at_least(1))
-    p.add_argument("--d-spec", choices=("identity", "roots"), default=None)
+    p.add_argument("--s", type=_at_least(1), default=1,
+                   help="D holds the s-th roots of unity (s = 1: Wishart)")
     p.add_argument("--dim", type=_at_least(1), help="evaluate the polynomial at this M")
     p.set_defaults(func=cmd_glm)
 
@@ -327,7 +324,8 @@ def build_parser() -> _Parser:
     p.add_argument("--p-max", type=_at_least(1), default=None)
     p.add_argument("--pushforward", action="store_true",
                    help="push forward through x -> x^s")
-    p.add_argument("--k", type=_at_least(0), default=0, help="real moments to report")
+    p.add_argument("--k", type=_at_least(0), default=0,
+                   help="moments E(Re X)^n, n = 1..k, to report")
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("weingarten", help="finite-n integration value vs its limit")

@@ -38,7 +38,7 @@ def moment(s, t, k: int) -> Fraction:
     meaningful for any real s > 0.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ArgumentError("k must be >= 1")
     return _moment_cached(Fraction(s), Fraction(t), k)
 
 
@@ -227,7 +227,7 @@ def _pieces(s: int, t: float):
     """s, t, start, p, [(end, root), ...]: pieces of _curve with x(theta) monotone, meeting at
     x(start) (0 at t = 1).  The first rises to K_+; a second falls to K_- (t < 1) or to 0 at
     -pi/s (t > 1).  p grades the quadrature nodes."""
-    if int(s) != s or s < 1 or not t > 0:
+    if int(s) != s or s < 1 or not float(t) > 0:
         raise ArgumentError("density requires integer s >= 1 and t > 0")
     s, t = int(s), float(t)
     if t < 1:

@@ -7,6 +7,7 @@ splitmix64(seed, i), and results are accumulated in trial order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -70,10 +71,12 @@ def _check_mc_args(s: int, dim: int, trials: int, powers: Sequence[int] = (1,)) 
         raise ArgumentError("s, N, trials and every power must be >= 1, with powers nonempty")
 
 
-def _check_character_args(n: int, t: float) -> None:
-    """The domain of the truncated character and the Weingarten sum: n >= 4, t in (0, 1]."""
-    if n < 4 or not 0 < t <= 1:
-        raise ArgumentError(f"need n >= 4 and t in (0, 1], got n = {n}, t = {t}")
+def _check_character_args(n: int, t: Fraction | float) -> int:
+    """The domain of the truncated character and the Weingarten sum: integer n >= 4, t in
+    (0, 1].  Returns m = floor(t n), computed exactly from the value of t (Fraction or float)."""
+    if not isinstance(n, numbers.Integral) or n < 4 or not 0 < t <= 1:
+        raise ArgumentError(f"need an integer n >= 4 and t in (0, 1], got n = {n}, t = {t}")
+    return math.floor(Fraction(t) * n)
 
 
 def sample_ginibre(
@@ -215,15 +218,12 @@ def _class_sums(K: int, step: int) -> dict[int, list[int]]:
     return sums
 
 
-def glm_exact(
-    K: int, s: int | None = None, d_spec: str = "identity"
-) -> dict[int, Fraction]:
-    """Exact E tr((DW)^K) as a Laurent polynomial in 1/M, by the hook-character sum.
+def glm_exact(K: int, s: int = 1) -> dict[int, Fraction]:
+    """Exact E tr((DW)^K) as a Laurent polynomial {exponent: coefficient} in 1/M.
 
-    For ``d_spec="identity"`` the result is the normalized Wishart trace
-    E tr(W^K) as {exponent: coefficient} in 1/M.  For ``d_spec="roots"`` (with
-    block size s), only permutations with all cycle lengths divisible by s
-    survive, M = sN, and the constant term equals #NC_s(K/s).
+    D holds the s-th roots of unity, each N = M/s times, so only permutations with
+    all cycle lengths divisible by s survive, and the constant term equals
+    #NC_s(K/s).  At s = 1, D is the identity: the normalized Wishart trace E tr(W^K).
 
     sigma contributes M^(#cycles(sigma) + #cycles(sigma^-1 pi) - K - 1), pi the
     full cycle.  Over a class C_lambda, sum q^#cycles(sigma^-1 pi) is
@@ -237,10 +237,8 @@ def glm_exact(
         raise EnumerationBoundError(f"K = {K} exceeds the hook-character bound {GLM_MAX_K}")
     if K < 1:
         raise ArgumentError("K must be >= 1")
-    if d_spec not in ("identity", "roots"):
-        raise ArgumentError(f"unknown d_spec {d_spec!r}")
-    if d_spec == "roots" and (s is None or s < 1 or K % s):
-        raise ArgumentError(f"the roots spec needs an s >= 1 that divides K = {K}, got s = {s}")
+    if s < 1 or K % s:
+        raise ArgumentError(f"need an s >= 1 that divides K = {K}, got s = {s}")
     # content polynomials of the hooks, coefficient lists in q
     contents = []
     for r in range(K):
@@ -249,7 +247,7 @@ def glm_exact(
             poly = [a * c + b for a, b in zip(poly + [0], [0] + poly)]
         contents.append(poly)
     total: dict[int, int] = {}
-    for length, sums in _class_sums(K, s if d_spec == "roots" else 1).items():
+    for length, sums in _class_sums(K, s).items():
         chi = [sums[0]]  # divide by 1 + y
         for a in sums[1:K]:
             chi.append(a - chi[-1])
@@ -282,14 +280,14 @@ def geodesic_count(s: int, k: int) -> int:
     """
     if k == 0:
         return 1
-    return int(glm_exact(s * k, s, "roots").get(0, 0))
+    return int(glm_exact(s * k, s).get(0, 0))
 
 
 # --- characters and Weingarten ----------------------------------------------
 
 
 def hns_character_mc(
-    s: int, n: int, t: float, trials: int, seed: int, word: ColoredWord
+    s: int, n: int, t: Fraction | float, trials: int, seed: int, word: ColoredWord
 ) -> MCReport:
     """Monte Carlo *-moment of the truncated character over Z_s wr S_n.
 
@@ -298,8 +296,7 @@ def hns_character_mc(
     entries with index <= floor(t n).
     """
     _check_mc_args(s, n, trials)
-    _check_character_args(n, t)
-    m = int(math.floor(t * n))
+    m = _check_character_args(n, t)
     samples = []
     for i in range(trials):
         rng = _trial_rng(seed, i)
@@ -311,7 +308,7 @@ def hns_character_mc(
         for sg in word.signs:
             val *= chi if sg == 1 else np.conj(chi)
         samples.append(val.real)
-    return _report(f"chi_t word {word}, s={s}, t={t}", samples, n, seed)
+    return _report(f"chi_t word {word}, s={s}, t={float(t)}", samples, n, seed)
 
 
 def _gram_trace(join_blocks: list[list[int]], n: int, m: int) -> Fraction:
@@ -350,15 +347,15 @@ EXACT_WEINGARTEN_MAX_DIM = 55
 WEINGARTEN_MAX_DIM = 500
 
 
-def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: float) -> float:
+def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: Fraction | float) -> float:
     """Finite-n Weingarten value sum_{p,q} W_n(p,q) [tn]^{|p join q|}.
 
     The Gram matrix G(n) over the balanced partitions has entries
     n^{|p join q|}; W_n is its inverse, so the value is tr(G(n)^-1 G([tn])).
     Converges to star_moment(s, t, word) as n grows.  Computed exactly when the
-    matrix is small and n is integral, in floats otherwise.
+    matrix is small, in floats otherwise.
     """
-    _check_character_args(n, t)
+    m = _check_character_args(n, t)
     dim = sum(count_balanced(s, word))  # refuse a large Gram matrix before listing its rows
     if not dim:
         return 0.0
@@ -367,9 +364,8 @@ def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: float) -> float:
             f"Gram dimension {dim} exceeds the Weingarten bound {WEINGARTEN_MAX_DIM}"
         )
     parts = enumerate_balanced(s, word)
-    m = int(math.floor(t * n))
     join_blocks = [[join(p, q).block_count for q in parts] for p in parts]
-    if dim <= EXACT_WEINGARTEN_MAX_DIM and float(n).is_integer():
+    if dim <= EXACT_WEINGARTEN_MAX_DIM:
         return float(_gram_trace(join_blocks, int(n), m))
     blocks = np.array(join_blocks, dtype=float)
     gram = float(n) ** blocks

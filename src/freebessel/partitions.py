@@ -147,7 +147,7 @@ def _count_weighted(weights: tuple[int, ...], s: int) -> list[int]:
 
 def _check_size(s: int, size: int, bound: int = DEFAULT_ENUM_BOUND) -> None:
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise ArgumentError("s must be >= 1")
     if size > bound:
         raise EnumerationBoundError(f"ground size {size} exceeds the enumeration bound {bound}")
 
@@ -167,11 +167,6 @@ def count_nc_s(s: int, k: int) -> list[int]:
     return _count_weighted((1,) * (s * k), s)
 
 
-def enumerate_nc(m: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetPartition]:
-    """All noncrossing partitions of {1..m}."""
-    return enumerate_nc_s(1, m, bound=bound)
-
-
 def fuss_catalan(s, k: int) -> Fraction:
     """The generalized Fuss-Catalan number (1/(sk+1)) * binom(sk+k, k).
 
@@ -179,7 +174,7 @@ def fuss_catalan(s, k: int) -> Fraction:
     defined for any rational s > 0.
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ArgumentError("k must be >= 0")
     if k == 0:
         return Fraction(1)
     sk = Fraction(s) * k
@@ -197,7 +192,7 @@ def fuss_narayana_poly(s, k: int) -> tuple[Fraction, ...]:
     and sum_b c_b t^b is the k-th moment of the free Bessel law pi_st.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ArgumentError("k must be >= 1")
     sk = Fraction(s) * k
     coeffs = [Fraction(0)]
     binom_sk = Fraction(1)  # binom(sk, b-1), updated one factor per step
@@ -233,10 +228,6 @@ class ColoredWord:
     @staticmethod
     def same_color(k: int) -> "ColoredWord":
         return ColoredWord((U,) * k)
-
-    @staticmethod
-    def alternating(k: int) -> "ColoredWord":
-        return ColoredWord(tuple(U if i % 2 == 0 else UBAR for i in range(k)))
 
     def __len__(self) -> int:
         return len(self.signs)

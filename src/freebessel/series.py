@@ -13,9 +13,6 @@ from math import factorial, lcm
 from operator import mul
 from typing import Iterable
 
-DEFAULT_ORDER = 16
-
-
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -364,14 +361,14 @@ def eta_and_sigma(m: MomentSequence) -> tuple[RationalSeries, RationalSeries]:
     return eta, sigma
 
 
-def catalan_moments(order: int = DEFAULT_ORDER) -> MomentSequence:
+def catalan_moments(order: int) -> MomentSequence:
     """Moments of the standard free Poisson law: Catalan numbers."""
     from .partitions import fuss_catalan
 
     return MomentSequence.from_values([fuss_catalan(1, k) for k in range(1, order + 1)])
 
 
-def free_poisson_moments(t, order: int = DEFAULT_ORDER) -> MomentSequence:
+def free_poisson_moments(t, order: int) -> MomentSequence:
     """Moments of the free Poisson law of parameter t (all free cumulants t)."""
     tf = _frac(t)
     return moments_from_free_cumulants(
@@ -379,6 +376,6 @@ def free_poisson_moments(t, order: int = DEFAULT_ORDER) -> MomentSequence:
     )
 
 
-def bernoulli_moments(t, order: int = DEFAULT_ORDER) -> MomentSequence:
+def bernoulli_moments(t, order: int) -> MomentSequence:
     """Moments of (1-t) delta_0 + t delta_1: all equal to t."""
     return MomentSequence.from_values([t] * order)

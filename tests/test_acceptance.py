@@ -167,11 +167,11 @@ def test_07_random_matrices(verdict):
         for k in range(1, 9):
             if s * k > 8:
                 break
-            poly = glm_exact(s * k, s, "roots")
+            poly = glm_exact(s * k, s)
             ok = ok and poly.get(0, F(0)) == len(enumerate_nc_s(s, k))
     for s, k in ((1, 2), (2, 2)):
         rep = dw_model_mc(s, N=16, k=k, trials=400, seed=13)
-        exact = glm_eval(glm_exact(s * k, s, "roots"), 16 * s)
+        exact = glm_eval(glm_exact(s * k, s), 16 * s)
         ok = ok and abs(rep.estimate - exact) <= 3 * rep.std_error
     verdict(7, "matrix models within 3 SE and exact trace polynomial verified", ok)
 

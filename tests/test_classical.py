@@ -79,6 +79,16 @@ class TestCyclotomic:
             CyclotomicInt.integer(2, 1) + CyclotomicInt.integer(3, 1)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: cyclotomic_polynomial(0), id="cyclotomic_polynomial"),
+    pytest.param(lambda: exp_s(0, 1.0), id="exp_s"),
+    pytest.param(lambda: poisson_limit(2, 0), id="poisson_limit"),
+])
+def test_domain_error_is_an_argument_error(call):
+    with pytest.raises(ArgumentError, match="must be >= 1"):
+        call()
+
+
 class TestExpS:
     def test_level_one_and_two(self):
         for z in (0.3, 1.7, -0.8, 0.5 + 0.25j):

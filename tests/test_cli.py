@@ -7,13 +7,17 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import freebessel
 from freebessel import cli
 from freebessel.classical import DiscreteMeasure
 from freebessel.cli import main
+from freebessel.matrixlab import hns_character_mc
+from freebessel.partitions import ColoredWord
 
 
 def run(capsys, *argv):
@@ -200,6 +204,19 @@ class TestMCCommand:
         assert results["trials"] == 1
         assert results["std_error"] is None
 
+    def test_character_truncates_exactly(self, capsys):
+        # m = floor(29/100 * 100) = 29; float(0.29) * 100 truncates to 28
+        argv = ["mc", "--model", "character", "--s", "1", "--dim", "100", "--t", "0.29",
+                "--word", "u", "--trials", "200", "--seed", "1"]
+        code, out, _ = run(capsys, *argv)
+        results = payload(out)["results"]
+        word = ColoredWord.from_string("u")
+        exact, short = (hns_character_mc(1, 100, Fraction(a, 100), 200, 1, word)
+                        for a in (29, 28))
+        assert exact.estimate != short.estimate
+        assert results["estimate"] == exact.estimate
+        assert results["statistic"] == "chi_t word u, s=1, t=0.29"
+
     def test_character_needs_word(self, capsys):
         code, _, err = run(
             capsys, "mc", "--model", "character", "--s", "2", "--dim", "50",
@@ -219,6 +236,13 @@ class TestGLMCommand:
         code, out, _ = run(capsys, "glm", "--K", "20")
         assert code == 0
         assert payload(out)["results"]["constant_term"] == "6564120420/1"
+
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_s_defaults_to_one(self, capsys, K):
+        default = payload(run(capsys, "glm", "--K", str(K))[1])
+        explicit = payload(run(capsys, "glm", "--K", str(K), "--s", "1")[1])
+        assert default["results"] == explicit["results"]
+        assert default["config"]["s"] == 1
 
     def test_format_flag_rejected(self, capsys):
         code, out, err = run(capsys, "glm", "--K", "6", "--format", "csv")
@@ -261,6 +285,14 @@ class TestWeingartenCommand:
         results = payload(out)["results"]
         assert results["limit"] == "3/1"
         assert results["finite_n"] == pytest.approx(3.0, abs=0.3)
+
+    def test_t_truncates_exactly(self, capsys):
+        # u* at s = 1 gives m (m + n - 2) / (n (n - 1)) with m = floor(tn) = 29, not 28
+        code, out, _ = run(
+            capsys, "weingarten", "--s", "1", "--word", "u*", "--n", "100", "--t", "0.29"
+        )
+        assert code == 0
+        assert payload(out)["results"]["finite_n"] == float(Fraction(29 * 127, 100 * 99))
 
 
 class TestProbeCommand:
@@ -334,6 +366,12 @@ class TestReadmeExamples:
 
 
 class TestModuleEntryPoint:
+    def test_public_names_resolve(self):
+        namespace: dict = {}
+        exec("from freebessel import *", namespace)
+        for name in freebessel.__all__:
+            assert getattr(freebessel, name) is namespace[name]
+
     def test_python_m_from_checkout(self):
         src = str(Path(__file__).parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -391,6 +429,9 @@ class TestArgumentErrors:
             ["classical", "--s", "2", "--t", "0"],
             ["mc", "--model", "dw", "--s", "2", "--t", "x"],
             ["partitions", "--s", "1", "--k", "3", "--t", "x"],
+            ["glm", "--K", "6", "--s", "2", "--d-spec", "identity"],
+            ["density", "--s", "2", "--t", "1e-400"],  # t is decided on its float, 0.0
+            ["classical", "--s", "2", "--t", "1e-400"],
         ],
     )
     def test_exit_one(self, capsys, argv):

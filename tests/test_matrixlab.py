@@ -12,6 +12,7 @@ from freebessel import matrixlab
 from freebessel.classical import bessel_law
 from freebessel.matrixlab import (
     EXACT_WEINGARTEN_MAX_DIM,
+    _check_character_args,
     _dw_matrix,
     _gram_trace,
     _trace_powers,
@@ -78,16 +79,16 @@ def geodesic_walk(s: int, k: int) -> int:
     return count
 
 
-def glm_walk(K: int, s: int | None = None, d_spec: str = "identity") -> dict[int, Fraction]:
+def glm_walk(K: int, s: int | None = None) -> dict[int, Fraction]:
     """The oracle for glm_exact: a walk over every permutation of S_K.
 
-    sigma adds M^(#cycles(sigma) + #cycles(sigma^-1 pi) - K - 1); for "roots"
+    sigma adds M^(#cycles(sigma) + #cycles(sigma^-1 pi) - K - 1); for a given s
     only sigma with every cycle length divisible by s count.
     """
     poly: dict[int, int] = {}
     for perm in itertools.permutations(range(K)):
         lengths = cycle_lengths(perm)
-        if d_spec == "roots" and any(length % s for length in lengths):
+        if s is not None and any(length % s for length in lengths):
             continue
         # sigma^-1 pi (pi the full cycle i -> i+1) has as many cycles as its
         # conjugate-inverse sigma pi^-1, which is perm rotated by one place
@@ -268,7 +269,7 @@ class TestDWModel:
     def test_matches_exact_finite_dim(self):
         for s, k, N in ((1, 2, 16), (2, 2, 16), (1, 3, 32)):
             rep = dw_model_mc(s, N=N, k=k, trials=400, seed=15)
-            exact = glm_eval(glm_exact(s * k, s, "roots"), s * N)
+            exact = glm_eval(glm_exact(s * k, s), s * N)
             assert within_3se(rep, exact)
 
     def test_single_power_matches_reference_loop(self):
@@ -299,21 +300,21 @@ class TestDWModel:
 
 class TestGLMExact:
     def test_k1_identity(self):
-        assert glm_exact(1, d_spec="identity") == {0: 1}
+        assert glm_exact(1) == {0: 1}
 
     def test_k2_identity(self):
-        assert glm_exact(2, d_spec="identity") == {0: 2}
+        assert glm_exact(2) == {0: 2}
 
     def test_k4_roots(self):
-        poly = glm_exact(4, 2, "roots")
+        poly = glm_exact(4, 2)
         assert poly[0] == 3
         assert all(e <= 0 for e in poly)
 
     @pytest.mark.parametrize("K", range(1, 9))
     def test_matches_permutation_walk(self, K):
-        cases = [(None, "identity")] + [(s, "roots") for s in range(1, K + 1) if K % s == 0]
-        for s, d_spec in cases:
-            got, want = glm_exact(K, s, d_spec), glm_walk(K, s, d_spec)
+        # None: the unfiltered walk, against glm_exact's default s = 1
+        for s in [None] + [s for s in range(1, K + 1) if K % s == 0]:
+            got, want = glm_exact(K) if s is None else glm_exact(K, s), glm_walk(K, s)
             assert got == want and list(got) == list(want)
 
     def test_constant_terms_count_partitions(self):
@@ -321,7 +322,7 @@ class TestGLMExact:
             for k in range(1, 9):
                 if s * k > 8:
                     break
-                poly = glm_exact(s * k, s, "roots")
+                poly = glm_exact(s * k, s)
                 assert poly.get(0, Fraction(0)) == len(enumerate_nc_s(s, k))
                 assert all(e <= 0 for e in poly)
 
@@ -331,7 +332,7 @@ class TestGLMExact:
         assert sum(identity.values()) == math.factorial(K)
         polys = [identity]
         for s in (s for s in range(1, K + 1) if K % s == 0):
-            poly = glm_exact(K, s, "roots")
+            poly = glm_exact(K, s)
             assert poly[0] == fuss_catalan(s, K // s)
             assert sum(poly.values()) == divisible_cycle_count(K, s)
             polys.append(poly)
@@ -354,9 +355,9 @@ class TestGLMExact:
             geodesic_count(3, 7)
 
     def test_roots_requires_divisibility(self):
-        for K, s in ((3, 2), (8, 3), (4, None)):
+        for K, s in ((3, 2), (8, 3), (4, 0)):
             with pytest.raises(ArgumentError):
-                glm_exact(K, s, "roots")
+                glm_exact(K, s)
 
 
 class TestGeodesics:
@@ -399,7 +400,7 @@ class TestCharacters:
             assert within_3se(rep, target)
 
     def test_rejects_bad_t(self):
-        for n, t in ((50, 1.5), (50, 2.0), (3, 0.5)):  # and n below 4
+        for n, t in ((50, 1.5), (50, 2.0), (3, 0.5), (8.0, 0.5)):  # and n below 4 or a float
             with pytest.raises(ArgumentError):
                 hns_character_mc(1, n, t, 10, 0, ColoredWord.from_string("u"))
 
@@ -444,8 +445,18 @@ class TestWeingarten:
                 weingarten_finite_n(2, ColoredWord.from_string("uu**"), 8, t)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ArgumentError):
-            weingarten_finite_n(2, ColoredWord.from_string("uu**"), 3, 1.0)
+        for n in (3, 8.0, 16.5):  # and n not an integer
+            with pytest.raises(ArgumentError):
+                weingarten_finite_n(2, ColoredWord.from_string("uu**"), n, 1.0)
+
+    def test_truncation_is_exact(self):
+        # floor(float(a/n) * n) falls one short for 755 of these pairs (0.29 * 100 = 28.99...)
+        assert all(_check_character_args(n, Fraction(a, n)) == a
+                   for n in range(4, 201) for a in range(1, n + 1))
+        assert _check_character_args(150, Fraction(29, 100)) == 43
+        # u* at s = 1: two balanced partitions, value m (m + n - 2) / (n (n - 1))
+        value = weingarten_finite_n(1, ColoredWord.from_string("u*"), 100, Fraction(29, 100))
+        assert value == float(Fraction(29 * 127, 100 * 99))
 
     def test_gram_bound(self):
         # u^7 (dim 429) is admitted; u^8 (dim 1430) is refused before its join table

@@ -22,7 +22,6 @@ from freebessel.partitions import (
     count_balanced,
     count_nc_s,
     enumerate_balanced,
-    enumerate_nc,
     enumerate_nc_s,
     fuss_catalan,
     fuss_narayana_poly,
@@ -173,9 +172,18 @@ class TestEnumeration:
         assert issubclass(EnumerationBoundError, ArgumentError)
         assert issubclass(ArgumentError, ValueError)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: count_nc_s(0, 3), id="check_size"),
+        pytest.param(lambda: fuss_catalan(2, -1), id="fuss_catalan"),
+        pytest.param(lambda: fuss_narayana_poly(2, 0), id="fuss_narayana_poly"),
+    ])
+    def test_domain_error_is_an_argument_error(self, call):
+        with pytest.raises(ArgumentError):
+            call()
+
     @pytest.mark.parametrize("m", range(9))
     def test_nc_is_all_noncrossing_set_partitions(self, m):
-        found = enumerate_nc(m)
+        found = enumerate_nc_s(1, m)
         brute = {part(*b) for b in all_set_partitions(m)}
         assert len(found) == len(set(found))
         assert set(found) == {p for p in brute if is_noncrossing(p)}
@@ -472,7 +480,7 @@ class TestJoin:
         assert join(p, q).block_count <= min(p.block_count, q.block_count)
 
     def test_canonical_without_from_blocks(self):
-        nc6 = enumerate_nc(6)
+        nc6 = enumerate_nc_s(1, 6)
         for p in nc6:
             for q in nc6:
                 joined = join(p, q)
@@ -492,4 +500,3 @@ class TestColoredWord:
 
     def test_helpers(self):
         assert ColoredWord.same_color(3).signs == (1, 1, 1)
-        assert ColoredWord.alternating(4).signs == (1, -1, 1, -1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebessel.partitions import enumerate_nc, fuss_catalan
+from freebessel.partitions import enumerate_nc_s, fuss_catalan
 from freebessel.series import (
     CumulantSequence,
     MomentSequence,
@@ -131,7 +131,7 @@ class TestProduct:
 NC_ORACLE_MAX = 10
 # block-size multisets of NC(n) with their multiplicities, n = 1..NC_ORACLE_MAX
 NC_BLOCK_TYPES = {
-    n: Counter(tuple(sorted(map(len, p.blocks))) for p in enumerate_nc(n))
+    n: Counter(tuple(sorted(map(len, p.blocks))) for p in enumerate_nc_s(1, n))
     for n in range(1, NC_ORACLE_MAX + 1)
 }
 
