@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable
 
-from .partitions import ArgumentError
+from .partitions import ArgumentError, EnumerationBoundError, _as_float
 
 
 @lru_cache(maxsize=None)
@@ -184,6 +184,9 @@ def exp_s(s: int, z: complex) -> complex:
     return val
 
 
+BESSEL_MAX_P = 1000
+
+
 def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     """The modified Bessel law: law of sum(w^k a_k) for independent Poisson(t/s) a_k.
 
@@ -191,14 +194,19 @@ def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     in Z[w] after each factor; the deficit is the exact product-Poisson tail
     mass.  The default p_max = ceil(10 + 5t) bounds only that deficit, not the
     Fourier tail at |z| > 1 (s = 1, t = 1.34: fourier(m, 1.2) is off by 2.5e-5
-    while the deficit is 8e-15); pass a larger p_max there.
+    while the deficit is 8e-15); pass a larger p_max there.  A p_max, given or
+    default, above BESSEL_MAX_P raises EnumerationBoundError (t > 198 by default).
     """
+    t = _as_float("t", t)
     if not t > 0:
         raise ArgumentError("bessel_law needs t > 0")
     if p_max is None:
-        p_max = math.ceil(10 + 5 * t)
+        p_max = math.ceil(min(10 + 5 * t, BESSEL_MAX_P + 1))  # 10 + 5t is inf near the double max
     if p_max < 1:
         raise ArgumentError("p_max must be >= 1")
+    if p_max > BESSEL_MAX_P:
+        raise EnumerationBoundError(
+            f"p_max exceeds the bound {BESSEL_MAX_P} (the default ceil(10 + 5t) does at t > 198)")
     lam = t / s
     pmf = [math.exp(-lam)]  # Poisson(lam) weights at p = 0..p_max
     for p in range(1, p_max + 1):

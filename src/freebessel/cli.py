@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .classical import bessel_law, power_pushforward
+from .classical import BESSEL_MAX_P, bessel_law, power_pushforward
 from .freelaws import (
     density_grid,
     existence_probe,
@@ -235,7 +235,7 @@ def cmd_glm(args, started: float) -> str:
 
 
 def cmd_classical(args, started: float) -> str:
-    m = bessel_law(args.s, float(args.t), p_max=args.p_max)
+    m = bessel_law(args.s, args.t, p_max=args.p_max)
     if args.pushforward:
         m = power_pushforward(m, args.s)
     results = m.as_dict()
@@ -321,7 +321,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classical", help="discrete Bessel law atoms and moments")
     p.add_argument("--s", type=_at_least(1), required=True)
     p.add_argument("--t", type=rational, required=True)
-    p.add_argument("--p-max", type=_at_least(1), default=None)
+    p.add_argument("--p-max", type=_at_least(1), default=None,
+                   help=f"Poisson truncation, at most {BESSEL_MAX_P} (default ceil(10 + 5t))")
     p.add_argument("--pushforward", action="store_true",
                    help="push forward through x -> x^s")
     p.add_argument("--k", type=_at_least(0), default=0,

@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, sqrt
+from math import lcm, pi, sqrt
 
-import numpy as np
-
-from .partitions import ArgumentError, fuss_narayana_poly
+from .partitions import ArgumentError, _as_float, fuss_narayana_poly
 from .series import (
     MomentSequence,
     _over_common_denominator,
@@ -95,6 +93,7 @@ def phi(s: float, t: float, w: float) -> float:
     sf = float(s)
     if ratio < 0 and sf != int(sf):
         raise ValueError(f"branch violation: ((1-w)/(1-(1-t)w)) = {ratio} < 0")
+    import numpy as np
     with np.errstate(over="ignore"):  # inf past the double range: K_- = t/Phi(w_+) is then 0
         return t * w * float(np.float64(ratio) ** sf)
 
@@ -190,6 +189,7 @@ class DensityGrid:
 
 def _roots(s: int, t: float, theta):
     """b = -B/(2A), E = b^2 - 1 + t (neither cancels as t -> 0 or b -> 0) and db/d(theta)."""
+    import numpy as np
     beta, sin = -s * theta, np.sin(theta)
     h = t * np.sin(beta + theta) / (2 * sin)
     b_1 = -2 * np.sin(beta / 2) ** 2 - h  # b - 1
@@ -204,6 +204,7 @@ def _curve(s: int, t: float, theta, root: int | None):
     root 0 or 1 (t < 1) or the positive root (None) of A r^2 + B r + C, A = -sin theta,
     B = (1 - t) sin((1 - s) theta) + sin((1 + s) theta), C = (1 - t) A; so r = b +- sqrt(E).
     """
+    import numpy as np
     b, E, db = _roots(s, t, theta)
     sq = np.sqrt(np.maximum(E, 0.0))
     q = b + np.copysign(sq, b)  # and (1 - t)/q: neither root cancels
@@ -217,7 +218,7 @@ def _curve(s: int, t: float, theta, root: int | None):
 
 def _theta_min(s: int, t: float) -> float:
     """For t < 1, the zero of E in (-pi/(s+1), 0), where the two roots meet."""
-    lo, hi = -np.pi / (s + 1), 0.0
+    lo, hi = -pi / (s + 1), 0.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if _roots(s, t, mid)[1] < 0 else (lo, mid)
     return hi
@@ -227,12 +228,13 @@ def _pieces(s: int, t: float):
     """s, t, start, p, [(end, root), ...]: pieces of _curve with x(theta) monotone, meeting at
     x(start) (0 at t = 1).  The first rises to K_+; a second falls to K_- (t < 1) or to 0 at
     -pi/s (t > 1).  p grades the quadrature nodes."""
-    if int(s) != s or s < 1 or not float(t) > 0:
+    t = _as_float("t", t)
+    if _as_float("s", s) < 1 or int(s) != s or not t > 0:
         raise ArgumentError("density requires integer s >= 1 and t > 0")
-    s, t = int(s), float(t)
+    s = int(s)
     if t < 1:
         return s, t, _theta_min(s, t), 2, [(0.0, 0), (0.0, 1)]
-    return s, t, -np.pi / (s + 1), 3, [(0.0, None)] + [(-np.pi / s, None)] * (t > 1)
+    return s, t, -pi / (s + 1), 3, [(0.0, None)] + [(-pi / s, None)] * (t > 1)
 
 
 def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
@@ -244,6 +246,7 @@ def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
     v^2 smooths the square-root end at theta_min (t < 1); v^3 clusters the nodes
     at -pi/(s+1), where the curve turns sharply as t -> 1+ (t >= 1).
     """
+    import numpy as np
     s, t, start, p, pieces = _pieces(s, t)
     v, w = np.polynomial.legendre.leggauss(32)
     v, w = 0.5 * (v + 1), 0.5 * w
@@ -262,6 +265,7 @@ def density(s: int, t: float, x) -> float | np.ndarray:
     v^2 from start, then Newton steps on log x, bisecting where a step leaves the shrinking
     bracket, until its own theta step is <= 1e-15 |theta|: no value depends on the others.
     """
+    import numpy as np
     s, t, start, _, pieces = _pieces(s, t)
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -305,6 +309,7 @@ def density(s: int, t: float, x) -> float | np.ndarray:
 
 def density_grid(s: int, t: float, n_points: int = 400) -> DensityGrid:
     """Density sampled on a support-covering grid, plus quadrature mass."""
+    import numpy as np
     s, t = _pieces(s, t)[:2]  # the domain check, before support divides by t
     sup = support(s, t)
     a, b = float(sup.K_minus), float(sup.K_plus)
@@ -345,6 +350,7 @@ def existence_probe(s, t, order: int = 6) -> ProbeReport:
     A zero pivot's row is dropped; its first nonzero entry b, if any, fails the
     block that b enters, since that block then holds [[0, b], [b, c]].
     """
+    sf, tf = _as_float("s", s), _as_float("t", t)
     n, sq, tq = order + 1, Fraction(s), Fraction(t)
     scaled = [(1, 1)] + [_scaled_moment(sq, tq.numerator, tq.denominator, k)
                          for k in range(1, 2 * order + 2)]
@@ -355,7 +361,7 @@ def existence_probe(s, t, order: int = 6) -> ProbeReport:
         for j in range(1, n + 1):
             (pivot, *head), *tail = rows
             if pivot < 0 or j == bound:
-                return ProbeReport(float(s), float(t), order, False, j, name)
+                return ProbeReport(sf, tf, order, False, j, name)
             if pivot == 0:
                 bound = min(bound, j + 1 + next((i for i, b in enumerate(head) if b), n))
                 rows = tail
@@ -363,4 +369,4 @@ def existence_probe(s, t, order: int = 6) -> ProbeReport:
             rows = [[(pivot * x - h * y) // prev for x, y in zip(row, head[i:])]
                     for i, (row, h) in enumerate(zip(tail, head))]
             prev = pivot
-    return ProbeReport(float(s), float(t), order, True)
+    return ProbeReport(sf, tf, order, True)

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .partitions import (
     ArgumentError,
     ColoredWord,
     EnumerationBoundError,
     count_balanced,
     enumerate_balanced,
-    join,
+    join_block_count,
 )
 
 MASK64 = (1 << 64) - 1
@@ -35,6 +33,7 @@ def splitmix64(seed: int, index: int) -> int:
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(np.random.PCG64(splitmix64(seed, index)))
 
 
@@ -59,6 +58,7 @@ class MCReport:
 
 
 def _report(statistic: str, samples: Sequence[float], dim: int, seed: int) -> MCReport:
+    import numpy as np
     arr = np.asarray(samples, dtype=float)
     est = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else None
@@ -83,6 +83,7 @@ def sample_ginibre(
     rows: int, cols: int, variance: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Complex Gaussian matrix with i.i.d. entries, E|g|^2 = variance."""
+    import numpy as np
     if variance <= 0:
         raise ValueError("variance must be positive")
     g = np.empty((rows, cols), dtype=complex)
@@ -101,6 +102,7 @@ def _trace_powers(A: np.ndarray, powers: Iterable[int]) -> dict[int, complex]:
     chosen power above 1 and one new power, else the two halves.  [3, 6, 9]
     forms A^2, A^4 and A^5: 3 products.
     """
+    import numpy as np
     split: dict[int, tuple[int, int]] = {}
     chosen, pending = {1}, set(powers) - {1}
     while pending:
@@ -149,6 +151,7 @@ def product_model_mc_multi(
 
 def _dw_matrix(s: int, N: int, rng: np.random.Generator) -> np.ndarray:
     """D W for a W(sN, sN, I/(sN)) Wishart W and the s-roots-of-unity diagonal D."""
+    import numpy as np
     M = s * N
     G = sample_ginibre(M, M, 1.0 / M, rng)
     W = G.conj().T @ G
@@ -295,6 +298,7 @@ def hns_character_mc(
     s-th-root-of-unity entries; the truncated character sums the diagonal
     entries with index <= floor(t n).
     """
+    import numpy as np
     _check_mc_args(s, n, trials)
     m = _check_character_args(n, t)
     samples = []
@@ -327,6 +331,7 @@ def _gram_trace(join_blocks: list[list[int]], n: int, m: int) -> Fraction:
     for k, head in enumerate(rows):
         pivot = head[k]
         if pivot == 0:
+            import numpy as np
             raise np.linalg.LinAlgError("singular Gram matrix")
         for row in rows[k + 1:]:
             lead = row[k]
@@ -364,9 +369,11 @@ def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: Fraction | float) 
             f"Gram dimension {dim} exceeds the Weingarten bound {WEINGARTEN_MAX_DIM}"
         )
     parts = enumerate_balanced(s, word)
-    join_blocks = [[join(p, q).block_count for q in parts] for p in parts]
+    half = [[join_block_count(p, q) for q in parts[:i + 1]] for i, p in enumerate(parts)]
+    join_blocks = [[half[max(i, j)][min(i, j)] for j in range(dim)] for i in range(dim)]
     if dim <= EXACT_WEINGARTEN_MAX_DIM:
         return float(_gram_trace(join_blocks, int(n), m))
+    import numpy as np
     blocks = np.array(join_blocks, dtype=float)
     gram = float(n) ** blocks
     if not np.isfinite(cond := np.linalg.cond(gram)) or cond > 1e14:

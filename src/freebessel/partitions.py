@@ -10,7 +10,7 @@ import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, isfinite
 from typing import Sequence
 
 DEFAULT_ENUM_BOUND = 14
@@ -25,6 +25,16 @@ class ArgumentError(ValueError):
 
 class EnumerationBoundError(ArgumentError):
     """Raised when an enumeration would exceed the configured ground-size bound."""
+
+
+def _as_float(name: str, value) -> float:
+    """float(value) for a parameter computed on in floats, refused outside the finite doubles."""
+    try:
+        if isfinite(out := float(value)):
+            return out
+    except OverflowError:
+        pass
+    raise ArgumentError(f"{name} must be a finite number within the double range")
 
 
 @dataclass(frozen=True)
@@ -262,23 +272,40 @@ def star_moment(s: int, t, word: ColoredWord) -> Fraction:
     return value
 
 
-def join(p: SetPartition, q: SetPartition) -> SetPartition:
-    """Join in the partition lattice: finest partition coarser than both p and q."""
+def _join_roots(p: SetPartition, q: SetPartition) -> list[int]:
+    """Union-find over p's blocks and then q's: entry x is the least point of the block of
+    join(p, q) that holds x, for x = 1..m (entry 0 is 0)."""
     if p.ground_size != q.ground_size:
         raise ValueError("ground sizes differ")
-    parent = list(range(p.ground_size + 1))
+    root = list(range(p.ground_size + 1))
+    for block in p.blocks:  # canonical: block[0] is the least point
+        for x in block[1:]:
+            root[x] = block[0]
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
         return x
 
-    for block in p.blocks + q.blocks:
+    for block in q.blocks:
         for x in block[1:]:
-            parent[find(x)] = find(block[0])
+            a, b = find(block[0]), find(x)
+            root[max(a, b)] = min(a, b)
+    for x in range(1, len(root)):  # every entry is at most its index: resolve upwards
+        root[x] = root[root[x]]
+    return root
+
+
+def join(p: SetPartition, q: SetPartition) -> SetPartition:
+    """Join in the partition lattice: finest partition coarser than both p and q."""
     groups: dict[int, list[int]] = {}
-    for x in range(1, p.ground_size + 1):
-        groups.setdefault(find(x), []).append(x)
+    for x, root in enumerate(_join_roots(p, q)[1:], start=1):
+        groups.setdefault(root, []).append(x)
     # the sweep meets each block's points in order, and the blocks in order of minima
     return SetPartition(p.ground_size, tuple(map(tuple, groups.values())))
+
+
+def join_block_count(p: SetPartition, q: SetPartition) -> int:
+    """The number of blocks of join(p, q), without building the partition."""
+    return len(set(_join_roots(p, q))) - 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from freebessel.classical import (
+    BESSEL_MAX_P,
     CyclotomicInt,
     bessel_function,
     bessel_law,
@@ -21,7 +22,7 @@ from freebessel.classical import (
     roots_of_unity_measure,
     total_variation,
 )
-from freebessel.partitions import ArgumentError
+from freebessel.partitions import ArgumentError, EnumerationBoundError
 from freebessel.series import MomentSequence, classical_cumulants
 
 
@@ -149,6 +150,21 @@ class TestBesselLaw:
             bessel_law(2, 0.0)
         with pytest.raises(ArgumentError):
             bessel_law(2, 1.0, p_max=0)
+        with pytest.raises(ArgumentError, match="t must be a finite number"):
+            bessel_law(2, Fraction(10**400))
+
+    def test_p_max_bound(self):
+        # the default ceil(10 + 5t) reaches the bound at t = 198; 10 + 5t is inf at 1e308
+        assert len(bessel_law(1, 198.0).atoms) == BESSEL_MAX_P + 1
+        assert len(bessel_law(1, 1.0, p_max=BESSEL_MAX_P).atoms) == BESSEL_MAX_P + 1
+        for t, p_max in ((198.1, None), (1e308, None), (1.0, BESSEL_MAX_P + 1)):
+            with pytest.raises(EnumerationBoundError, match="p_max exceeds the bound"):
+                bessel_law(1, t, p_max=p_max)
+
+    def test_fraction_t_is_its_float(self):
+        exact, rounded = bessel_law(3, Fraction(1, 3), p_max=8), bessel_law(3, 1 / 3, p_max=8)
+        assert list(exact.atoms.items()) == list(rounded.atoms.items())
+        assert exact.deficit == rounded.deficit
 
     def test_weight_to_zero_t(self):
         assert bessel_s2_weight(1e-12, 0) == pytest.approx(1.0)

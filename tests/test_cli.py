@@ -26,6 +26,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def checkout_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _reject_constant(name):
     raise ValueError(f"payload is not strict JSON: bare {name}")
 
@@ -265,6 +272,20 @@ class TestClassicalCommand:
         assert out == ""
         assert "--p-max" in err
 
+    @pytest.mark.parametrize("argv", [["--t", "1e300"], ["--t", "1", "--p-max", "100000000"]],
+                             ids=["default", "given"])
+    def test_p_max_bound_is_usage_error(self, argv):
+        # in a child process, so that a weight loop past the bound fails the test, not hangs it
+        script = ("import sys, time\nfrom freebessel.cli import main\n"
+                  "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+                  "print(code, time.perf_counter() - start)\n")
+        done = subprocess.run([sys.executable, "-c", script, "classical", "--s", "1", *argv],
+                              env=checkout_env(), capture_output=True, text=True, timeout=10)
+        code, seconds = done.stdout.split()
+        assert int(code) == 1
+        assert float(seconds) < 1.0
+        assert "usage error: p_max exceeds the bound 1000" in done.stderr
+
 
 class TestStrictJSON:
     def test_non_finite_value_is_numeric_failure(self, capsys, monkeypatch):
@@ -373,13 +394,51 @@ class TestModuleEntryPoint:
             assert getattr(freebessel, name) is namespace[name]
 
     def test_python_m_from_checkout(self):
-        src = str(Path(__file__).parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-m", "freebessel", "--version"],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=checkout_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == cli.__version__
+
+
+COLD_SCRIPT = """
+import contextlib, io, json, sys
+import freebessel, freebessel.cli
+seen = [[None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = freebessel.cli.main(argv)
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def cold_run(argvs: list[list[str]]) -> list[list]:
+    """[exit code, numpy loaded] after `import freebessel` (code None), then after each
+    command, all in one fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", COLD_SCRIPT, json.dumps(argvs)],
+                          env=checkout_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestColdStart:
+    """Only the density layer, the Monte Carlo models and the float Weingarten path load numpy."""
+
+    def test_exact_commands_never_import_numpy(self):
+        argvs = [
+            ["moments", "--s", "3", "--t", "1/2", "--k", "6"],
+            ["partitions", "--s", "2", "--word", "uu**uu**", "--list"],
+            ["glm", "--K", "8", "--s", "2", "--dim", "10"],
+            ["classical", "--s", "3", "--t", "1/2", "--k", "3", "--pushforward"],
+            ["probe", "--s-grid", "1:3:3", "--t-grid", "1/2:2:3"],
+            ["weingarten", "--s", "2", "--word", "uu**uu**", "--n", "64", "--t", "1/2"],  # dim 55
+        ]
+        assert cold_run(argvs) == [[None, False]] + [[0, False]] * len(argvs)
+
+    def test_numeric_commands_still_work(self):
+        argvs = [["density", "--s", "2", "--t", "1/2", "--grid-points", "5"],
+                 ["mc", "--model", "dw", "--s", "2", "--dim", "4", "--trials", "2"]]
+        assert cold_run(argvs) == [[None, False], [0, True], [0, True]]
 
 
 class TestSizeBounds:
@@ -439,6 +498,22 @@ class TestArgumentErrors:
         assert code == 1
         assert out == ""
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["density", "--s", "2", "--t", "1e400"], "t"),
+            (["density", "--s", "1e400", "--t", "1"], "s"),
+            (["classical", "--s", "2", "--t", "1e400"], "t"),
+            (["probe", "--s-grid", "1e400:1e400:1", "--t-grid", "1:1:1"], "s"),
+            (["probe", "--s-grid", "1:1:1", "--t-grid", "1e400:1e400:1"], "t"),
+        ],
+    )
+    def test_overflowing_parameter(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: {name} must be a finite number within the double range" in err
 
 
 class TestRecordedPayloads:

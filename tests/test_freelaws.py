@@ -498,6 +498,15 @@ class TestDensity:
             with pytest.raises(ArgumentError):
                 density_grid(2, t)
 
+    def test_rejects_parameter_past_the_double_range(self):
+        for call, name in ((lambda: density(2, F(10**400), 1.0), "t"),
+                           (lambda: density_grid(10**400, 1), "s"),
+                           (lambda: quadrature_moments(2, 10**400, 2), "t"),
+                           (lambda: existence_probe(F(10**400), 1), "s"),
+                           (lambda: existence_probe(1, float("inf")), "t")):
+            with pytest.raises(ArgumentError, match=f"^{name} must be a finite number"):
+                call()
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("s", [1, 2, 3])

@@ -540,3 +540,17 @@ class TestExactWeingarten:
     def test_zero_pivot_is_singular(self):
         with pytest.raises(np.linalg.LinAlgError, match="singular Gram matrix"):
             _gram_trace([[1, 1], [1, 1]], 8, 4)
+
+    @pytest.mark.parametrize("s,text,t", [(2, "uu**uu**", Fraction(1, 2)),
+                                          (1, "uuuuuu", Fraction(1, 2)),
+                                          (3, "uuu***uuu***", Fraction(3, 4))])
+    def test_values_from_the_join_table(self, s, text, t):
+        # the Gram matrix of |p join q| from join(p, q), solved as weingarten_finite_n does:
+        # exactly up to dimension 55 (the first case), in floats above (132 and 215)
+        table, n, m = join_table(s, text), 64, math.floor(t * 64)
+        if len(table) <= EXACT_WEINGARTEN_MAX_DIM:
+            want = float(_gram_trace(table, n, m))
+        else:
+            blocks = np.array(table, dtype=float)
+            want = float(np.sum(np.linalg.inv(float(n) ** blocks) * float(m) ** blocks))
+        assert weingarten_finite_n(s, ColoredWord.from_string(text), n, t) == want

@@ -27,6 +27,7 @@ from freebessel.partitions import (
     fuss_narayana_poly,
     is_noncrossing,
     join,
+    join_block_count,
     star_moment,
 )
 
@@ -485,6 +486,25 @@ class TestJoin:
             for q in nc6:
                 joined = join(p, q)
                 assert joined == SetPartition.from_blocks(joined.blocks)
+
+    @pytest.mark.parametrize("s,text", [(1, "uuuuu"), (2, "uu**uu**"), (3, "uuu***u*"),
+                                        (2, "u*u*u*")])
+    def test_block_count_on_balanced_pairs(self, s, text):
+        parts = enumerate_balanced(s, ColoredWord.from_string(text))
+        for p in parts:
+            for q in parts:
+                want = join_by_merging(p, q)
+                assert join(p, q) == want
+                assert join_block_count(p, q) == want.block_count
+
+
+def join_by_merging(p: SetPartition, q: SetPartition) -> SetPartition:
+    """Oracle for join: each block of q merges the blocks (of p, or merged) that it meets."""
+    blocks = [set(b) for b in p.blocks]
+    for qb in map(set, q.blocks):
+        hit = [b for b in blocks if b & qb]
+        blocks = [b for b in blocks if not b & qb] + [set().union(*hit)]
+    return SetPartition.from_blocks(blocks)
 
 
 class TestColoredWord:
