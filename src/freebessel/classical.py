@@ -185,6 +185,31 @@ def exp_s(s: int, z: complex) -> complex:
 
 
 BESSEL_MAX_P = 1000
+BESSEL_MAX_WORK = 2 * 10**6
+
+
+def _convolution_work(s: int, p_max: int) -> int:
+    """An upper bound on the coefficient additions of bessel_law's convolutions, or a number
+    past BESSEL_MAX_WORK as soon as the bound passes it.
+
+    Factor k pairs its p_max + 1 atoms p w^k with each atom of the law of the factors before
+    it, adding deg = phi(s) coefficients per pair.  That law has at most p_max + 1 times the
+    atoms of the one before, and no more than the box its reduced coefficients range over.
+    As w, ..., w^phi(s) are independent, factor k <= min(s, phi(s) + 1) forms (p_max + 1)^k
+    pairs, and phi(s) >= sqrt(s/2): that refuses a large s before its polynomial is built.
+    """
+    if (math.isqrt(s // 2) + 1) * math.log(p_max + 1) > math.log(BESSEL_MAX_WORK):
+        return BESSEL_MAX_WORK + 1
+    poly = cyclotomic_polynomial(s)
+    deg = len(poly) - 1
+    power, spread, atoms, work = [1] + [0] * (deg - 1), [0] * deg, 1, 0
+    for _ in range(s):
+        if (work := work + deg * atoms * (p_max + 1)) > BESSEL_MAX_WORK:
+            break
+        power = [a - power[-1] * c for a, c in zip([0] + power[:-1], poly)]  # times w
+        spread = [r + abs(c) for r, c in zip(spread, power)]
+        atoms = min(atoms * (p_max + 1), math.prod(p_max * r + 1 for r in spread))
+    return work
 
 
 def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
@@ -195,11 +220,13 @@ def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     mass.  The default p_max = ceil(10 + 5t) bounds only that deficit, not the
     Fourier tail at |z| > 1 (s = 1, t = 1.34: fourier(m, 1.2) is off by 2.5e-5
     while the deficit is 8e-15); pass a larger p_max there.  A p_max, given or
-    default, above BESSEL_MAX_P raises EnumerationBoundError (t > 198 by default).
+    default, above BESSEL_MAX_P raises EnumerationBoundError (t > 198 by default),
+    and so do an s and p_max whose convolutions would add more than BESSEL_MAX_WORK
+    coefficients (_convolution_work): s = 3, 5, 7, 11 admit p_max up to 98, 12, 4, 1.
     """
     t = _as_float("t", t)
-    if not t > 0:
-        raise ArgumentError("bessel_law needs t > 0")
+    if s < 1 or not t > 0:
+        raise ArgumentError("bessel_law needs s >= 1 and t > 0")
     if p_max is None:
         p_max = math.ceil(min(10 + 5 * t, BESSEL_MAX_P + 1))  # 10 + 5t is inf near the double max
     if p_max < 1:
@@ -207,6 +234,9 @@ def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     if p_max > BESSEL_MAX_P:
         raise EnumerationBoundError(
             f"p_max exceeds the bound {BESSEL_MAX_P} (the default ceil(10 + 5t) does at t > 198)")
+    if _convolution_work(s, p_max) > BESSEL_MAX_WORK:
+        raise EnumerationBoundError(f"s = {s} with p_max = {p_max} exceeds the convolution bound "
+                                    f"of {BESSEL_MAX_WORK} coefficient additions")
     lam = t / s
     pmf = [math.exp(-lam)]  # Poisson(lam) weights at p = 0..p_max
     for p in range(1, p_max + 1):

@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .classical import BESSEL_MAX_P, bessel_law, power_pushforward
+from .classical import BESSEL_MAX_P, BESSEL_MAX_WORK, bessel_law, power_pushforward
 from .freelaws import (
     density_grid,
     existence_probe,
@@ -322,7 +322,9 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=_at_least(1), required=True)
     p.add_argument("--t", type=rational, required=True)
     p.add_argument("--p-max", type=_at_least(1), default=None,
-                   help=f"Poisson truncation, at most {BESSEL_MAX_P} (default ceil(10 + 5t))")
+                   help=f"Poisson truncation, at most {BESSEL_MAX_P} (default ceil(10 + 5t)), and "
+                   f"at most what keeps the convolutions within {BESSEL_MAX_WORK} coefficient "
+                   "additions (s = 3, 5, 7: 98, 12, 4; s = 17 or s >= 19: none)")
     p.add_argument("--pushforward", action="store_true",
                    help="push forward through x -> x^s")
     p.add_argument("--k", type=_at_least(0), default=0,

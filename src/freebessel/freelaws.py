@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, pi, sqrt
+from math import isfinite, lcm, pi, sqrt
 
 from .partitions import ArgumentError, _as_float, fuss_narayana_poly
 from .series import (
@@ -149,12 +149,15 @@ def support(s, t) -> SupportInfo:
         k_minus = tf / phi(sf, tf, w_plus)
         k_plus = tf / phi(sf, tf, w_minus)
         regime, atom = ("t<1", 1 - tf) if tf < 1 else ("t>1", 0.0)
-        return SupportInfo(regime, k_minus, k_plus, atom, w_minus, w_plus)
-    # s > 1: single relevant critical point of Phi_st(w) = w(1-w)^s/(t+(1-t)w)
-    disc = sqrt(tf * tf * (sf - 1) ** 2 + 4 * sf * tf)
-    w1 = (tf * (sf + 1) - disc) / (2 * sf * (tf - 1))
-    phi_st = w1 * (1 - w1) ** sf / (tf + (1 - tf) * w1)
-    return SupportInfo("t>1", 0.0, 1 / phi_st, 0.0, w_minus=w1)
+        info = SupportInfo(regime, k_minus, k_plus, atom, w_minus, w_plus)
+    else:  # s > 1: single relevant critical point of Phi_st(w) = w(1-w)^s/(t+(1-t)w)
+        disc = sqrt(tf * tf * (sf - 1) ** 2 + 4 * sf * tf)
+        w1 = (tf * (sf + 1) - disc) / (2 * sf * (tf - 1))
+        phi_st = w1 * (1 - w1) ** sf / (tf + (1 - tf) * w1)
+        info = SupportInfo("t>1", 0.0, 1 / phi_st, 0.0, w_minus=w1)
+    if not (isfinite(info.K_minus) and isfinite(info.K_plus)):  # t * t overflows past 1.3e154
+        raise ValueError(f"support edges K_- = {info.K_minus}, K_+ = {info.K_plus} are not finite")
+    return info
 
 
 @dataclass(frozen=True)
@@ -244,7 +247,10 @@ def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
     in the weights (x underflows near 0 at large s).  Each piece runs from theta
     = start to end as start + (end - start) v^p, 32 Gauss-Legendre nodes in v:
     v^2 smooths the square-root end at theta_min (t < 1); v^3 clusters the nodes
-    at -pi/(s+1), where the curve turns sharply as t -> 1+ (t >= 1).
+    at -pi/(s+1), where the curve turns sharply as t -> 1+ (t >= 1).  A mass that
+    misses min(t, 1) by more than 1e-5 relative (at s = 1 and t above about 3e24,
+    where the two terms of d(log x)/d(theta) cancel, and at s above about 1e4), or a
+    moment past the double range, raises ValueError.
     """
     import numpy as np
     s, t, start, p, pieces = _pieces(s, t)
@@ -254,7 +260,12 @@ def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
     for end, root in pieces:
         u, x, dlog_x, _ = _curve(s, t, start + (end - start) * v**p, root)
         weight = w * np.abs(p * (end - start) * v ** (p - 1) * dlog_x) * -u.imag / np.pi
-        out += [np.sum(weight * x**k) for k in range(k_max + 1)]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            out += [np.sum(weight * x**k) for k in range(k_max + 1)]
+    if not abs(out[0] - min(t, 1)) <= 1e-5 * min(t, 1):
+        raise ValueError(f"quadrature mass {out[0]} misses min(t, 1) by more than 1e-5 relative")
+    if not np.all(finite := np.isfinite(out)):
+        raise ValueError(f"quadrature moment m_{np.argmin(finite)} is past the double range")
     return tuple(out.tolist())
 
 
@@ -267,6 +278,7 @@ def density(s: int, t: float, x) -> float | np.ndarray:
     """
     import numpy as np
     s, t, start, _, pieces = _pieces(s, t)
+    quadrature_moments(s, t, 0)  # its mass check: refuse (s, t) where the curve is unsound
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(xs > 0):

@@ -316,36 +316,28 @@ def hns_character_mc(
 
 
 def _gram_trace(join_blocks: list[list[int]], n: int, m: int) -> Fraction:
-    """tr(G(n)^-1 G(m)) exactly, where G(x)_pq = x^join_blocks[p][q] and n is an integer.
+    """tr(G(n)^-1 G(m)) exactly: G(x)_pq = x^join_blocks[max(p, q)][min(p, q)], n an integer.
 
-    Bareiss elimination of [G(n) | G(m)] with no row swaps: G(n) = Z diag((n)_|tau|) Z^T
-    is positive semidefinite, so a zero pivot (leading minor) means G(n) is singular.
-    Fraction-free back substitution gives D = det G(n) G(n)^-1 G(m), row i only in the
-    columns c <= i that the trace sum_c D_cc needs.  Ordering rows and columns by |p|
-    leaves the trace as it is and keeps the early minors, where most work runs, small.
+    It is d1/d0 for the last pivot (d0, d1) of symmetric Bareiss elimination of G(n) + e G(m)
+    over Z[e]/(e^2), as det(G + eH) = det G (1 + e tr(G^-1 H)) mod e^2 (Jacobi).  No row swaps:
+    G(n) = Z diag((n)_|tau|) Z^T is positive semidefinite, so a zero d0 means it is singular.
+    Ordering by |p| leaves the trace as it is and keeps early minors, where most work runs, small.
     """
-    dim = len(join_blocks)
-    order = sorted(range(dim), key=lambda i: join_blocks[i][i])
-    rows = [[x ** join_blocks[i][j] for x in (n, m) for j in order] for i in order]
-    prev = 1
-    for k, head in enumerate(rows):
-        pivot = head[k]
-        if pivot == 0:
+    order = sorted(range(len(join_blocks)), key=lambda i: join_blocks[i][i])
+    rows = [[(n ** e, m ** e) for e in (join_blocks[max(i, j)][min(i, j)] for j in order[k:])]
+            for k, i in enumerate(order)]
+    p0, p1 = 1, 0
+    while rows:
+        ((a0, a1), *head), *tail = rows
+        if a0 == 0:
             import numpy as np
             raise np.linalg.LinAlgError("singular Gram matrix")
-        for row in rows[k + 1:]:
-            lead = row[k]
-            row[k + 1:] = [(pivot * x - lead * y) // prev
-                           for x, y in zip(row[k + 1:], head[k + 1:])]
-        prev = pivot
-    solved: list[list[int]] = [[]] * dim
-    for i in reversed(range(dim)):
-        row = rows[i]
-        acc = [prev * b for b in row[dim:dim + i + 1]]
-        for j in range(i + 1, dim):
-            acc = [u - row[j] * v for u, v in zip(acc, solved[j])]
-        solved[i] = [u // row[i] for u in acc]
-    return Fraction(sum(solved[i][i] for i in range(dim)), prev)
+        rows = [[(q := (a0 * x0 - h0 * y0) // p0,
+                  (a0 * x1 + a1 * x0 - h0 * y1 - h1 * y0 - q * p1) // p0)
+                 for (x0, x1), (y0, y1) in zip(row, head[i:])]
+                for i, (row, (h0, h1)) in enumerate(zip(tail, head))]
+        p0, p1 = a0, a1
+    return Fraction(p1, p0)
 
 
 EXACT_WEINGARTEN_MAX_DIM = 55
@@ -362,19 +354,16 @@ def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: Fraction | float) 
     """
     m = _check_character_args(n, t)
     dim = sum(count_balanced(s, word))  # refuse a large Gram matrix before listing its rows
-    if not dim:
-        return 0.0
     if dim > WEINGARTEN_MAX_DIM:
         raise EnumerationBoundError(
             f"Gram dimension {dim} exceeds the Weingarten bound {WEINGARTEN_MAX_DIM}"
         )
     parts = enumerate_balanced(s, word)
     half = [[join_block_count(p, q) for q in parts[:i + 1]] for i, p in enumerate(parts)]
-    join_blocks = [[half[max(i, j)][min(i, j)] for j in range(dim)] for i in range(dim)]
     if dim <= EXACT_WEINGARTEN_MAX_DIM:
-        return float(_gram_trace(join_blocks, int(n), m))
+        return float(_gram_trace(half, int(n), m))
     import numpy as np
-    blocks = np.array(join_blocks, dtype=float)
+    blocks = np.array([[half[max(i, j)][min(i, j)] for j in range(dim)] for i in range(dim)], float)
     gram = float(n) ** blocks
     if not np.isfinite(cond := np.linalg.cond(gram)) or cond > 1e14:
         raise np.linalg.LinAlgError(f"Gram matrix ill-conditioned (cond ~ {cond:.3g}) at n = {n}")

@@ -8,7 +8,10 @@ import pytest
 
 from freebessel.classical import (
     BESSEL_MAX_P,
+    BESSEL_MAX_WORK,
     CyclotomicInt,
+    DiscreteMeasure,
+    _convolution_work,
     bessel_function,
     bessel_law,
     bessel_s2_weight,
@@ -160,6 +163,34 @@ class TestBesselLaw:
         for t, p_max in ((198.1, None), (1e308, None), (1.0, BESSEL_MAX_P + 1)):
             with pytest.raises(EnumerationBoundError, match="p_max exceeds the bound"):
                 bessel_law(1, t, p_max=p_max)
+
+    def test_convolution_work_bound(self):
+        # admitted: every call of the tests and the benchmark, up to s = 2 with p_max = 1000
+        for s, p_max in ((1, BESSEL_MAX_P), (2, BESSEL_MAX_P), (3, 98), (4, 68), (5, 12), (7, 4)):
+            assert _convolution_work(s, p_max) <= BESSEL_MAX_WORK
+        for s, p_max in ((3, 99), (5, 13), (5, 20), (7, 6), (11, 2), (11, 15), (17, 1),
+                         (10**30, 1)):
+            assert _convolution_work(s, p_max) > BESSEL_MAX_WORK
+            with pytest.raises(EnumerationBoundError, match="exceeds the convolution bound"):
+                bessel_law(s, 1.0, p_max=p_max)
+        with pytest.raises(EnumerationBoundError, match="convolution bound"):
+            bessel_law(11, 1.0)  # the default p_max = 15
+        with pytest.raises(ArgumentError, match="s >= 1"):
+            bessel_law(-4, 1.0)
+
+    @pytest.mark.parametrize("s", range(1, 13))
+    def test_convolution_work_is_an_upper_bound(self, s):
+        deg = len(cyclotomic_polynomial(s)) - 1
+        for p_max in (1, 2, 3):
+            if (bound := _convolution_work(s, p_max)) > BESSEL_MAX_WORK:
+                continue
+            law, work = dirac(s, 0), 0
+            for k in range(1, s + 1):
+                work += deg * len(law.atoms) * (p_max + 1)
+                factor = {CyclotomicInt.from_coeffs(s, [0] * (k % s) + [p]): 1.0
+                          for p in range(p_max + 1)}
+                law = convolve(law, DiscreteMeasure(s, factor))
+            assert work <= bound
 
     def test_fraction_t_is_its_float(self):
         exact, rounded = bessel_law(3, Fraction(1, 3), p_max=8), bessel_law(3, 1 / 3, p_max=8)

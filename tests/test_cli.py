@@ -148,6 +148,23 @@ class TestDensity:
         assert results["support"]["K_minus"] == 0.0
         assert all(math.isfinite(v) and v >= 0 for v in results["grid"]["density"])
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--s", "1", "--t", "1e30", "--grid-points", "3", "--k", "1"], "quadrature mass"),
+        (["--s", "2", "--t", "1e160"], "support edges"),
+        (["--s", "2", "--t", "1e100"], "quadrature moment m_4 is past the double range"),
+    ], ids=["s1-mass-drift", "support-overflow", "moment-overflow"])
+    def test_large_t_is_numeric_failure(self, capsys, argv, message):
+        # each exited 0 with a wrong answer, or 2 with a message about a quantity never given
+        code, out, err = run(capsys, "density", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_large_t_within_the_mass_bound(self, capsys):
+        code, out, _ = run(capsys, "density", "--s", "1", "--t", "1e20", "--grid-points", "3")
+        assert code == 0
+        assert payload(out)["results"]["quadrature_mass"] == pytest.approx(1.0, rel=1e-5)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
         code, out, _ = run(
@@ -285,6 +302,21 @@ class TestClassicalCommand:
         assert int(code) == 1
         assert float(seconds) < 1.0
         assert "usage error: p_max exceeds the bound 1000" in done.stderr
+
+    @pytest.mark.parametrize("argv", [["--s", "11", "--t", "1"],
+                                      ["--s", "5", "--t", "1", "--p-max", "20"]],
+                             ids=["default", "given"])
+    def test_convolution_bound_is_usage_error(self, argv):
+        # in a child process, so that a convolution past the bound fails the test, not hangs it
+        script = ("import sys, time\nfrom freebessel.cli import main\n"
+                  "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+                  "print(code, time.perf_counter() - start)\n")
+        done = subprocess.run([sys.executable, "-c", script, "classical", *argv],
+                              env=checkout_env(), capture_output=True, text=True, timeout=10)
+        code, seconds = done.stdout.split()
+        assert int(code) == 1
+        assert float(seconds) < 1.0
+        assert "exceeds the convolution bound" in done.stderr
 
 
 class TestStrictJSON:

@@ -537,9 +537,24 @@ class TestExactWeingarten:
         for dim, (s, text) in DIM_WORDS.items():
             assert len(enumerate_balanced(s, ColoredWord.from_string(text))) == dim
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_lower_triangle_matches_square(self, s):
+        # weingarten_finite_n passes only the rows' entries up to the diagonal
+        words = SHORT_WORDS + (["uu**uu**"] if s == 2 else [])
+        for table in {join_table(s, w) for w in words} - {()}:
+            half = [row[:i + 1] for i, row in enumerate(table)]
+            for n in (4, 8, 64):
+                for m in (n // 2, n):
+                    assert _gram_trace(half, n, m) == _gram_trace(table, n, m)
+
     def test_zero_pivot_is_singular(self):
         with pytest.raises(np.linalg.LinAlgError, match="singular Gram matrix"):
             _gram_trace([[1, 1], [1, 1]], 8, 4)
+
+    def test_zero_pivot_mid_elimination_is_singular(self):
+        # the first pivot is 8, the second the 2 x 2 leading minor 8 * 8 - 8 * 8
+        with pytest.raises(np.linalg.LinAlgError, match="singular Gram matrix"):
+            _gram_trace([[1, 1, 2], [1, 1, 2], [2, 2, 3]], 8, 4)
 
     @pytest.mark.parametrize("s,text,t", [(2, "uu**uu**", Fraction(1, 2)),
                                           (1, "uuuuuu", Fraction(1, 2)),
