@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -22,7 +21,6 @@ from .freelaws import (
     in_defined_region,
     moment,
     moments_via_series,
-    quadrature_moments,
 )
 from .matrixlab import (
     dw_model_mc,
@@ -84,19 +82,13 @@ def rational(text: str) -> Fraction:  # argparse names it in "invalid rational v
         raise ArgumentError(f"not a rational number: {text!r}") from exc
 
 
-def _fmt(value):
-    """Serialize exact rationals as 'p/q' strings, everything else natively."""
+def _encode(value):
+    """json's hook for what it cannot encode: exact rationals as 'p/q', words as letters."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return value
     if isinstance(value, ColoredWord):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _grid_spec(text: str) -> list[Fraction]:
@@ -139,12 +131,13 @@ def _report(args: argparse.Namespace, results, started: float) -> str:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out_path", "format")}
     return json.dumps(
         {
-            "config": _fmt(config),
-            "results": _fmt(results),
+            "config": config,
+            "results": results,
             "wall_time_s": time.perf_counter() - started,
             "version": __version__,
         },
         allow_nan=False,
+        default=_encode,
     )
 
 
@@ -177,8 +170,7 @@ def cmd_moments(args, started: float) -> str:
 
 
 def cmd_density(args, started: float) -> str:
-    grid = replace(density_grid(args.s, args.t, n_points=args.grid_points),
-                   quadrature_moments=quadrature_moments(args.s, args.t, args.k)[1:])
+    grid = density_grid(args.s, args.t, args.grid_points, args.k)
     if args.format == "csv":
         return grid.to_csv()
     return _report(args, grid.as_dict(), started)
@@ -191,9 +183,7 @@ def cmd_partitions(args, started: float) -> str:
             "word": args.word,
             "count": sum(count_balanced(s, args.word)),
             "star_moment": star_moment(s, args.t, args.word),
-            "blocks": [[list(b) for b in p.blocks] for p in enumerate_balanced(s, args.word)]
-            if args.list
-            else None,
+            "blocks": [p.blocks for p in enumerate_balanced(s, args.word)] if args.list else None,
         }
     else:
         if args.k is None:
@@ -202,15 +192,17 @@ def cmd_partitions(args, started: float) -> str:
             "k": args.k,
             "count": sum(count_nc_s(s, args.k)),
             "fuss_catalan": fuss_catalan(s, args.k),
-            "fuss_narayana": list(fuss_narayana_poly(s, args.k)) if args.k >= 1 else [],
-            "blocks": [[list(b) for b in p.blocks] for p in enumerate_nc_s(s, args.k)]
-            if args.list
-            else None,
+            "fuss_narayana": fuss_narayana_poly(s, args.k) if args.k >= 1 else (),
+            "blocks": [p.blocks for p in enumerate_nc_s(s, args.k)] if args.list else None,
         }
     return _report(args, results, started)
 
 
 def cmd_mc(args, started: float) -> str:
+    if args.power is not None and args.model != "dw":
+        raise ArgumentError("--power applies only to the dw model")
+    if args.word is not None and args.model != "character":
+        raise ArgumentError("--word applies only to the character model")
     if args.model == "product":
         rep = product_model_mc(args.s, args.dim, args.k, args.trials, args.seed)
     elif args.model == "dw":

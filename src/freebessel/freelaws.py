@@ -168,7 +168,7 @@ class DensityGrid:
     t: float
     support_info: SupportInfo
     quadrature_mass: float
-    quadrature_moments: tuple[float, ...] = ()
+    quadrature_moments: tuple[float, ...]
 
     def to_csv(self) -> str:
         lines = ["x,density"]
@@ -254,13 +254,15 @@ def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
     """
     import numpy as np
     s, t, start, p, pieces = _pieces(s, t)
+    if k_max < 0:
+        raise ArgumentError("k_max must be >= 0")
     v, w = np.polynomial.legendre.leggauss(32)
     v, w = 0.5 * (v + 1), 0.5 * w
     out = np.zeros(k_max + 1)
-    for end, root in pieces:
-        u, x, dlog_x, _ = _curve(s, t, start + (end - start) * v**p, root)
-        weight = w * np.abs(p * (end - start) * v ** (p - 1) * dlog_x) * -u.imag / np.pi
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN mass, inf moment: refused below
+        for end, root in pieces:
+            u, x, dlog_x, _ = _curve(s, t, start + (end - start) * v**p, root)
+            weight = w * np.abs(p * (end - start) * v ** (p - 1) * dlog_x) * -u.imag / np.pi
             out += [np.sum(weight * x**k) for k in range(k_max + 1)]
     if not abs(out[0] - min(t, 1)) <= 1e-5 * min(t, 1):
         raise ValueError(f"quadrature mass {out[0]} misses min(t, 1) by more than 1e-5 relative")
@@ -319,21 +321,24 @@ def density(s: int, t: float, x) -> float | np.ndarray:
     return float(rho[0]) if scalar else rho
 
 
-def density_grid(s: int, t: float, n_points: int = 400) -> DensityGrid:
-    """Density sampled on a support-covering grid, plus quadrature mass."""
+def density_grid(s: int, t: float, n_points: int = 400, k: int = 0) -> DensityGrid:
+    """Density sampled on a support-covering grid, plus quadrature mass and m_1..m_k."""
     import numpy as np
     s, t = _pieces(s, t)[:2]  # the domain check, before support divides by t
     sup = support(s, t)
     a, b = float(sup.K_minus), float(sup.K_plus)
     eps = (b - a) * 1e-9
     grid = np.linspace(a + eps if a > 0 else b * 1e-6, b - eps, n_points)
+    values = density(s, t, grid)
+    mass, *moments = quadrature_moments(s, t, k)
     return DensityGrid(
         abscissae=tuple(grid.tolist()),
-        values=tuple(density(s, t, grid).tolist()),
+        values=tuple(values.tolist()),
         s=float(s),
         t=t,
         support_info=sup,
-        quadrature_mass=quadrature_moments(s, t, 0)[0],
+        quadrature_mass=mass,
+        quadrature_moments=tuple(moments),
     )
 
 

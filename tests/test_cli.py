@@ -523,6 +523,11 @@ class TestArgumentErrors:
             ["glm", "--K", "6", "--s", "2", "--d-spec", "identity"],
             ["density", "--s", "2", "--t", "1e-400"],  # t is decided on its float, 0.0
             ["classical", "--s", "2", "--t", "1e-400"],
+            ["mc", "--model", "product", "--s", "2", "--k", "2", "--power", "5", "--dim", "8",
+             "--trials", "3"],  # flags that the model does not use
+            ["mc", "--model", "product", "--s", "2", "--word", "u*", "--dim", "8", "--trials", "3"],
+            ["mc", "--model", "dw", "--s", "2", "--word", "u*", "--dim", "8", "--trials", "3"],
+            ["mc", "--model", "character", "--s", "1", "--word", "u*", "--power", "2"],
         ],
     )
     def test_exit_one(self, capsys, argv):
@@ -550,6 +555,42 @@ class TestArgumentErrors:
 
 class TestRecordedPayloads:
     """Results blocks recorded while the CLI still round-tripped them through JSON text."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        ("moments --s 2 --t 1/2 --k 3", {
+            "config": {"command": "moments", "s": "2/1", "t": "1/2", "k": 3, "order": 16,
+                       "force": False},
+            "results": {"moments": [
+                {"k": 1, "closed_form": "1/2", "series": "1/2", "partitions": "1/2",
+                 "agree": True},
+                {"k": 2, "closed_form": "1/1", "series": "1/1", "partitions": "1/1",
+                 "agree": True},
+                {"k": 3, "closed_form": "21/8", "series": "21/8", "partitions": "21/8",
+                 "agree": True},
+            ]},
+        }),
+        ("partitions --s 2 --word uu** --t 1/2 --list", {
+            "config": {"command": "partitions", "s": 2, "k": None, "word": "uu**", "t": "1/2",
+                       "list": True},
+            "results": {"word": "uu**", "count": 3, "star_moment": "1/1",
+                        "blocks": [[[1, 2], [3, 4]], [[1, 2, 3, 4]], [[1, 4], [2, 3]]]},
+        }),
+        ("glm --K 4 --s 2", {
+            "config": {"command": "glm", "K": 4, "s": 2, "dim": None},
+            "results": {"polynomial": {"0": "3/1", "-2": "6/1"}, "constant_term": "3/1"},
+        }),
+        ("weingarten --s 2 --word uu** --n 8 --t 1/2", {
+            "config": {"command": "weingarten", "s": 2, "word": "uu**", "n": 8, "t": "1/2"},
+            "results": {"finite_n": 0.9285714285714286, "limit": "1/1"},
+        }),
+    ], ids=["moments", "partitions", "glm", "weingarten"])
+    def test_exact_payload(self, capsys, argv, expected):
+        # whole payloads: "p/q" inside rows and lists, nested block arrays, the config echo
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        data = payload(out)
+        assert isinstance(data.pop("wall_time_s"), float)
+        assert_same_payload(data, {**expected, "version": freebessel.__version__})
 
     def test_classical(self, capsys):
         code, out, _ = run(

@@ -507,6 +507,11 @@ class TestDensity:
             with pytest.raises(ArgumentError, match=f"^{name} must be a finite number"):
                 call()
 
+    def test_rejects_negative_moment_count(self):
+        for call in (lambda: quadrature_moments(2, 0.5, -1), lambda: density_grid(2, 0.5, 5, -1)):
+            with pytest.raises(ArgumentError, match="k_max must be >= 0"):
+                call()
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("s", [1, 2, 3])
@@ -545,6 +550,15 @@ class TestQuadrature:
         for k in range(1, 7):
             assert vals[k] == pytest.approx(float(moment(s, t, k)), rel=rel, abs=0)
 
+    @pytest.mark.parametrize("call", [lambda: quadrature_moments(2, 1e160, 0),
+                                      lambda: quadrature_moments(3, 1e155, 2),
+                                      lambda: density(2, 1e160, 1.0)],
+                             ids=["mass", "moments", "density"])
+    def test_overflowing_t_raises_only_the_mass_check(self, call):
+        # t * t overflows in _roots past t = 1.3e154; no numpy warning may escape first
+        with pytest.raises(ValueError, match="quadrature mass"):
+            call()
+
 
 class TestDensityGrid:
     def test_mass_s1_t1(self):
@@ -555,6 +569,11 @@ class TestDensityGrid:
         grid = density_grid(2, 0.5, n_points=50)
         assert grid.support_info.atom_mass == pytest.approx(0.5)
         assert grid.quadrature_mass == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("t", [F(1, 2), 1, 2])
+    def test_moments_are_quadrature_moments(self, t):
+        grid = density_grid(2, t, 50, 3)
+        assert (grid.quadrature_mass, *grid.quadrature_moments) == quadrature_moments(2, t, 3)
 
     def test_serialization(self):
         grid = density_grid(2, 1.0, n_points=10)
