@@ -116,14 +116,7 @@ class SupportInfo:
     w_plus: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "K_minus": float(self.K_minus),
-            "K_plus": float(self.K_plus),
-            "atom_mass": self.atom_mass,
-            "w_minus": self.w_minus,
-            "w_plus": self.w_plus,
-        }
+        return {**asdict(self), "K_minus": float(self.K_minus), "K_plus": float(self.K_plus)}
 
 
 def support(s, t) -> SupportInfo:
@@ -148,7 +141,8 @@ def support(s, t) -> SupportInfo:
         w_minus, w_plus = _critical_points(sf, tf)
         k_minus = tf / phi(sf, tf, w_plus)
         k_plus = tf / phi(sf, tf, w_minus)
-        regime, atom = ("t<1", 1 - tf) if tf < 1 else ("t>1", 0.0)
+        tq = t if isinstance(t, Fraction) else Fraction(tf)  # so that 1 - t is rounded once
+        regime, atom = ("t<1", float(1 - tq)) if tf < 1 else ("t>1", 0.0)
         info = SupportInfo(regime, k_minus, k_plus, atom, w_minus, w_plus)
     else:  # s > 1: single relevant critical point of Phi_st(w) = w(1-w)^s/(t+(1-t)w)
         disc = sqrt(tf * tf * (sf - 1) ** 2 + 4 * sf * tf)
@@ -227,45 +221,54 @@ def _theta_min(s: int, t: float) -> float:
     return hi
 
 
-def _pieces(s: int, t: float):
-    """s, t, start, p, [(end, root), ...]: pieces of _curve with x(theta) monotone, meeting at
-    x(start) (0 at t = 1).  The first rises to K_+; a second falls to K_- (t < 1) or to 0 at
-    -pi/s (t > 1).  p grades the quadrature nodes."""
-    t = _as_float("t", t)
-    if _as_float("s", s) < 1 or int(s) != s or not t > 0:
+@lru_cache(maxsize=256)
+def _plan(s, t):
+    """s, t, start, pieces, support, quadrature: what the density layer decides once per (s, t).
+
+    pieces [(end, root), ...] of _curve have x(theta) monotone and meet at x(start) (0 at
+    t = 1).  The first rises to K_+; a second falls to K_- (t < 1) or to 0 at -pi/s (t > 1).
+    quadrature holds each piece's 32 (weight, x) pairs: rho(x) dx = -Im u |d(log x)/d(theta)|
+    d(theta) / pi along _curve, with no x in the weights (x underflows near 0 at large s).
+    Each piece runs from theta = start to end as start + (end - start) v^p, 32 Gauss-Legendre
+    nodes in v: v^2 smooths the square-root end at theta_min (t < 1); v^3 clusters the nodes
+    at -pi/(s+1), where the curve turns sharply as t -> 1+ (t >= 1).  A mass that misses
+    min(t, 1) by more than 1e-5 relative (at s = 1 and t above about 3e24, where the two
+    terms of d(log x)/d(theta) cancel, and at s above about 1e4) raises ValueError before
+    support(s, t) is built.  support takes the caller's t, so a rational t keeps 1 - t exact.
+    """
+    import numpy as np
+    tf = _as_float("t", t)
+    if _as_float("s", s) < 1 or int(s) != s or not tf > 0:
         raise ArgumentError("density requires integer s >= 1 and t > 0")
     s = int(s)
-    if t < 1:
-        return s, t, _theta_min(s, t), 2, [(0.0, 0), (0.0, 1)]
-    return s, t, -pi / (s + 1), 3, [(0.0, None)] + [(-pi / s, None)] * (t > 1)
+    if tf < 1:
+        start, p, pieces = _theta_min(s, tf), 2, ((0.0, 0), (0.0, 1))
+    else:
+        start, p, pieces = -pi / (s + 1), 3, ((0.0, None),) + ((-pi / s, None),) * (tf > 1)
+    v, w = np.polynomial.legendre.leggauss(32)
+    v, w = 0.5 * (v + 1), 0.5 * w
+    quadrature, mass = [], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN mass is refused below
+        for end, root in pieces:
+            u, x, dlog_x, _ = _curve(s, tf, start + (end - start) * v**p, root)
+            weight = w * np.abs(p * (end - start) * v ** (p - 1) * dlog_x) * -u.imag / np.pi
+            quadrature.append((weight, x))
+            mass += np.sum(weight)
+    if not abs(mass - min(tf, 1)) <= 1e-5 * min(tf, 1):
+        raise ValueError(f"quadrature mass {mass} misses min(t, 1) by more than 1e-5 relative")
+    return s, tf, start, pieces, support(s, t), tuple(quadrature)
 
 
 def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
-    """(mass, m_1, ..., m_k_max) of the continuous part, integrated on the curve u = xG.
-
-    rho(x) dx = -Im u |d(log x)/d(theta)| d(theta) / pi along _curve, with no x
-    in the weights (x underflows near 0 at large s).  Each piece runs from theta
-    = start to end as start + (end - start) v^p, 32 Gauss-Legendre nodes in v:
-    v^2 smooths the square-root end at theta_min (t < 1); v^3 clusters the nodes
-    at -pi/(s+1), where the curve turns sharply as t -> 1+ (t >= 1).  A mass that
-    misses min(t, 1) by more than 1e-5 relative (at s = 1 and t above about 3e24,
-    where the two terms of d(log x)/d(theta) cancel, and at s above about 1e4), or a
-    moment past the double range, raises ValueError.
-    """
+    """(mass, m_1, ..., m_k_max) of the continuous part from _plan's quadrature; ValueError
+    for a moment past the double range."""
     import numpy as np
-    s, t, start, p, pieces = _pieces(s, t)
     if k_max < 0:
         raise ArgumentError("k_max must be >= 0")
-    v, w = np.polynomial.legendre.leggauss(32)
-    v, w = 0.5 * (v + 1), 0.5 * w
     out = np.zeros(k_max + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN mass, inf moment: refused below
-        for end, root in pieces:
-            u, x, dlog_x, _ = _curve(s, t, start + (end - start) * v**p, root)
-            weight = w * np.abs(p * (end - start) * v ** (p - 1) * dlog_x) * -u.imag / np.pi
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf moment is refused below
+        for weight, x in _plan(s, t)[5]:
             out += [np.sum(weight * x**k) for k in range(k_max + 1)]
-    if not abs(out[0] - min(t, 1)) <= 1e-5 * min(t, 1):
-        raise ValueError(f"quadrature mass {out[0]} misses min(t, 1) by more than 1e-5 relative")
     if not np.all(finite := np.isfinite(out)):
         raise ValueError(f"quadrature moment m_{np.argmin(finite)} is past the double range")
     return tuple(out.tolist())
@@ -279,13 +282,11 @@ def density(s: int, t: float, x) -> float | np.ndarray:
     bracket, until its own theta step is <= 1e-15 |theta|: no value depends on the others.
     """
     import numpy as np
-    s, t, start, _, pieces = _pieces(s, t)
-    quadrature_moments(s, t, 0)  # its mass check: refuse (s, t) where the curve is unsound
+    s, t, start, pieces, sup, _ = _plan(s, t)
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(xs > 0):
         raise ValueError("x must be positive")
-    sup = support(s, t)
     rho, log_xs = np.zeros(xs.shape), np.log(xs)
     todo = (xs > float(sup.K_minus)) & (xs < float(sup.K_plus))
     with np.errstate(all="ignore"):  # x(theta) underflows to 0 near x = 0 at large s
@@ -324,22 +325,17 @@ def density(s: int, t: float, x) -> float | np.ndarray:
 def density_grid(s: int, t: float, n_points: int = 400, k: int = 0) -> DensityGrid:
     """Density sampled on a support-covering grid, plus quadrature mass and m_1..m_k."""
     import numpy as np
-    s, t = _pieces(s, t)[:2]  # the domain check, before support divides by t
-    sup = support(s, t)
+    if n_points < 1:
+        raise ArgumentError("n_points must be >= 1")
+    s_int, tf, _, _, sup, _ = _plan(s, t)
     a, b = float(sup.K_minus), float(sup.K_plus)
     eps = (b - a) * 1e-9
     grid = np.linspace(a + eps if a > 0 else b * 1e-6, b - eps, n_points)
-    values = density(s, t, grid)
+    values = density(s, t, grid)  # the caller's s and t: the key of the cached plan
     mass, *moments = quadrature_moments(s, t, k)
-    return DensityGrid(
-        abscissae=tuple(grid.tolist()),
-        values=tuple(values.tolist()),
-        s=float(s),
-        t=t,
-        support_info=sup,
-        quadrature_mass=mass,
-        quadrature_moments=tuple(moments),
-    )
+    return DensityGrid(abscissae=tuple(grid.tolist()), values=tuple(values.tolist()),
+                       s=float(s_int), t=tf, support_info=sup, quadrature_mass=mass,
+                       quadrature_moments=tuple(moments))
 
 
 @dataclass(frozen=True)

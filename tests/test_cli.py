@@ -150,7 +150,7 @@ class TestDensity:
 
     @pytest.mark.parametrize("argv,message", [
         (["--s", "1", "--t", "1e30", "--grid-points", "3", "--k", "1"], "quadrature mass"),
-        (["--s", "2", "--t", "1e160"], "support edges"),
+        (["--s", "2", "--t", "1e160"], "quadrature mass"),
         (["--s", "2", "--t", "1e100"], "quadrature moment m_4 is past the double range"),
     ], ids=["s1-mass-drift", "support-overflow", "moment-overflow"])
     def test_large_t_is_numeric_failure(self, capsys, argv, message):
@@ -159,6 +159,20 @@ class TestDensity:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_mass_check_comes_before_the_support(self):
+        # in a child process, so that a slow support fails the test, not hangs it: building the
+        # exact K_+ = (s+1)^(s+1)/s^s of s = 100000 takes seconds, and the mass refuses the cell
+        script = ("import sys, time\nfrom freebessel.cli import main\n"
+                  "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+                  "print(code, time.perf_counter() - start)\n")
+        done = subprocess.run([sys.executable, "-c", script, "density", "--s", "100000",
+                               "--t", "1", "--grid-points", "3"],
+                              env=checkout_env(), capture_output=True, text=True, timeout=10)
+        code, seconds = done.stdout.split()
+        assert int(code) == 2
+        assert float(seconds) < 1.0
+        assert "quadrature mass" in done.stderr
 
     def test_large_t_within_the_mass_bound(self, capsys):
         code, out, _ = run(capsys, "density", "--s", "1", "--t", "1e20", "--grid-points", "3")

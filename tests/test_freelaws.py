@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freebessel import freelaws
 from freebessel.freelaws import (
     _curve,
     _scaled_moment,
@@ -319,6 +320,15 @@ class TestSupport:
         assert sup.atom_mass == pytest.approx(0.5)
         assert 0 < sup.K_minus < sup.K_plus
 
+    def test_atom_mass_of_a_rational_t_is_rounded_once(self):
+        # 1 - float(1/3) rounds twice, to 0.6666666666666667
+        assert support(2, F(1, 3)).atom_mass == 2 / 3
+
+    def test_edges_past_the_double_range(self):
+        # t * t overflows past t = 1.3e154
+        with pytest.raises(ValueError, match="support edges"):
+            support(2, 1e160)
+
     def test_large_t_regime(self):
         sup = support(2, 2.0)
         assert sup.regime == "t>1"
@@ -512,6 +522,25 @@ class TestDensity:
             with pytest.raises(ArgumentError, match="k_max must be >= 0"):
                 call()
 
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_rejects_an_empty_grid(self, n_points):
+        with pytest.raises(ArgumentError, match="n_points must be >= 1"):
+            density_grid(2, 0.5, n_points)
+
+    def test_one_plan_per_cell(self, monkeypatch):
+        # the bisection of theta_min and the support are each computed once for the three calls
+        calls = {"_theta_min": 0, "support": 0}
+        for name in calls:
+            def counted(*args, name=name, inner=getattr(freelaws, name)):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(freelaws, name, counted)
+        freelaws._plan.cache_clear()
+        density_grid(3, 0.75, 400, 6)
+        quadrature_moments(3, 0.75, 6)
+        density(3, 0.75, 1.0)
+        assert calls == {"_theta_min": 1, "support": 1}
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("s", [1, 2, 3])
@@ -552,8 +581,9 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("call", [lambda: quadrature_moments(2, 1e160, 0),
                                       lambda: quadrature_moments(3, 1e155, 2),
-                                      lambda: density(2, 1e160, 1.0)],
-                             ids=["mass", "moments", "density"])
+                                      lambda: density(2, 1e160, 1.0),
+                                      lambda: density_grid(2, 1e160)],
+                             ids=["mass", "moments", "density", "grid"])
     def test_overflowing_t_raises_only_the_mass_check(self, call):
         # t * t overflows in _roots past t = 1.3e154; no numpy warning may escape first
         with pytest.raises(ValueError, match="quadrature mass"):
