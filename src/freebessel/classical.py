@@ -11,7 +11,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add
 from typing import Iterable
 
 from .partitions import ArgumentError, EnumerationBoundError, _as_float
@@ -116,8 +115,14 @@ class CyclotomicInt:
             raise ValueError("mixed cyclotomic orders")
 
     def to_complex(self) -> complex:
-        w = cmath.exp(2j * cmath.pi / self.s)
-        return sum(c * w**k for k, c in enumerate(self.coeffs))
+        return sum(c * wk for c, wk in zip(self.coeffs, _root_powers(self.s)))
+
+
+@lru_cache(maxsize=None)
+def _root_powers(s: int) -> tuple[complex, ...]:
+    """w^k for k < phi(s), w = exp(2 pi i / s): the embedding of the coefficient basis."""
+    w = cmath.exp(2j * cmath.pi / s)
+    return tuple(w**k for k in range(len(cyclotomic_polynomial(s)) - 1))
 
 
 @dataclass(frozen=True)
@@ -260,23 +265,69 @@ def power_pushforward(m: DiscreteMeasure, s: int) -> DiscreteMeasure:
 
 
 def bessel_function(r: int, u: float) -> float:
-    """First-kind Bessel sum phi_r(u) = sum_p u^(2p+r)/(p! (p+r)!)."""
+    """First-kind Bessel sum phi_r(u) = sum_p u^(2p+r)/(p! (p+r)!); OverflowError past the doubles."""
+    return _bessel_sum(r, u, 0.0)
+
+
+BESSEL_MAX_TERMS = 10**6
+
+
+def _bessel_sum(r: int, u: float, shift: float) -> float:
+    """e^(-shift) phi_r(u), each term exp((2p + r) log|u| - lgamma(p+1) - lgamma(p+r+1) - shift).
+
+    The sum runs outwards from the largest term, at the last p with p (p + r) <= u^2, by the
+    term ratio u^2/(p (p + r)), until a term falls below 2^-56 of the sum.  A sum that needs more
+    than BESSEL_MAX_TERMS terms above the peak raises ValueError; that takes a peak p past
+    about 10^9, which bessel_s2_weight reaches only for r^2 above about 20 t.
+    """
     if r < 0:
-        raise ValueError("r must be >= 0")
-    term = u**r / math.factorial(r)
-    total = term
-    p = 0
-    while True:
-        p += 1
+        raise ArgumentError("r must be >= 0")
+    u = _as_float("u", u)
+    sign, u = (-1.0 if u < 0 and r % 2 else 1.0), abs(u)
+    if u == 0.0:
+        return math.exp(-shift) if r == 0 else 0.0
+    top = int(math.hypot(u, r / 2) - r / 2)
+    log_peak = (2 * top + r) * math.log(u) - math.lgamma(top + 1) - math.lgamma(top + r + 1) - shift
+    if log_peak > 709.78:  # e^709.78 is the double max
+        raise OverflowError(f"phi_{r}({u}) e^-{shift} exceeds the double range")
+    total = term = peak = math.exp(log_peak)
+    for p in range(top + 1, top + BESSEL_MAX_TERMS):
         term *= u * u / (p * (p + r))
         total += term
-        if abs(term) < 1e-20 * max(1.0, abs(total)):
-            return total
+        if term <= 2**-56 * total:
+            break
+    else:
+        raise ValueError(f"phi_{r}({u}) needs more than {BESSEL_MAX_TERMS} terms")
+    term = peak
+    for p in range(top, 0, -1):  # they fall faster below the peak than above it
+        term *= p * (p + r) / (u * u)
+        total += term
+        if term <= 2**-56 * total:
+            break
+    if total == math.inf:
+        raise OverflowError(f"phi_{r}({u}) e^-{shift} exceeds the double range")
+    return sign * total
 
 
 def bessel_s2_weight(t: float, r: int) -> float:
-    """Weight of the modified law at integer atom r for s = 2: e^(-t) phi_|r|(t/2)."""
-    return math.exp(-t) * bessel_function(abs(r), t / 2)
+    """Weight of the modified law at integer atom r for s = 2: e^(-t) phi_|r|(t/2) = e^(-t) I_|r|(t).
+
+    Hankel's expansion e^(-t) I_r(t) = (2 pi t)^(-1/2) sum_k prod_(j <= k) ((2j-1)^2 - 4r^2)/(8jt)
+    gives it where its terms fall below 2^-56 of the sum before they grow (from t near 20 at
+    r = 0); the series with e^(-t) folded into its terms gives it elsewhere.
+    """
+    t, r = _as_float("t", t), abs(r)
+    if t > 0:
+        term = total = 1.0
+        for k in range(1, 100):
+            step = ((2 * k - 1) ** 2 - 4 * r * r) / (8 * k * t)
+            if abs(step) >= 1.0:
+                break
+            term *= step
+            total += term
+            if abs(term) <= 2**-56 * total:
+                return total / math.sqrt(2 * math.pi * t)
+    return _bessel_sum(r, t / 2, t)
 
 
 def fourier(m: DiscreteMeasure, z: complex) -> complex:
@@ -293,20 +344,34 @@ def convolve(
     """
     if m1.s != m2.s:
         raise ValueError("mixed cyclotomic orders")
-    # Sums of reduced coefficient vectors are reduced, so the integer tuples
-    # are exact keys; each merged atom is wrapped once at the end.
-    items2 = [(a.coeffs, w) for a, w in m2.atoms.items()]
-    sums: dict[tuple[int, ...], float] = {}
+    # Sums of reduced coefficient vectors are reduced.  Read as balanced base-B digits,
+    # B = 2 (b1 + b2) + 1 with b_i the largest |coefficient| among m_i's atoms, each vector
+    # is one exact integer key: no coefficient of a sum passes (B - 1)/2, so the keys add as
+    # the vectors do and stay injective.  Each merged atom is decoded once at the end.
+    base = 2 * sum(max((abs(c) for a in m.atoms for c in a.coeffs), default=0)
+                   for m in (m1, m2)) + 1
+    half, powers = base // 2, [base**j for j in range(len(cyclotomic_polynomial(m1.s)) - 1)]
+    offset = half * sum(powers)  # k + offset has the plain base-B digits c_j + half
+
+    def key(atom: CyclotomicInt) -> int:
+        return sum(c * p for c, p in zip(atom.coeffs, powers))
+
+    def digits(k: int) -> tuple[int, ...]:
+        k += offset
+        return tuple([k // p % base - half for p in powers])
+
+    items2 = [(key(a), w) for a, w in m2.atoms.items()]
+    sums: dict[int, float] = {}
     for a1, w1 in m1.atoms.items():
-        c1 = a1.coeffs
-        for c2, w2 in items2:
-            key = tuple(map(add, c1, c2))
-            sums[key] = sums.get(key, 0.0) + w1 * w2
+        k1 = key(a1)
+        for k2, w2 in items2:
+            k = k1 + k2
+            sums[k] = sums.get(k, 0.0) + w1 * w2
     deficit = 1.0 - (1.0 - m1.deficit) * (1.0 - m2.deficit)
     if prune > 0.0:
         deficit += sum(w for w in sums.values() if w < prune)
-        sums = {c: w for c, w in sums.items() if w >= prune}
-    atoms = {CyclotomicInt(m1.s, c): w for c, w in sums.items()}
+        sums = {k: w for k, w in sums.items() if w >= prune}
+    atoms = {CyclotomicInt(m1.s, digits(k)): w for k, w in sums.items()}
     return DiscreteMeasure(m1.s, atoms, deficit)
 
 

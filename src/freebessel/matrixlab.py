@@ -301,13 +301,14 @@ def hns_character_mc(
     import numpy as np
     _check_mc_args(s, n, trials)
     m = _check_character_args(n, t)
+    roots = np.exp(2j * np.pi * np.arange(s) / s)
     samples = []
     for i in range(trials):
         rng = _trial_rng(seed, i)
         perm = rng.permutation(n)
         fixed = np.nonzero(perm[:m] == np.arange(m))[0]
-        phases = np.exp(2j * np.pi * rng.integers(0, s, size=n) / s)
-        chi = phases[fixed].sum() if fixed.size else 0j
+        k = rng.integers(0, s, size=n)
+        chi = roots[k[fixed]].sum() if fixed.size else 0j
         val = 1.0 + 0j
         for sg in word.signs:
             val *= chi if sg == 1 else np.conj(chi)

@@ -1,10 +1,18 @@
 """Discrete Bessel laws: cyclotomic atoms, level-s exponentials, Poisson limits."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from operator import add
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freebessel.classical import (
     BESSEL_MAX_P,
@@ -56,6 +64,36 @@ def brute_force_bessel_law(s, t, p_max):
     return atoms, max(1.0 - total**s, 0.0)
 
 
+def convolve_by_tuples(m1, m2, prune=0.0):
+    """Test oracle: convolve keyed by coefficient tuples, one tuple built and hashed per pair."""
+    items2 = [(a.coeffs, w) for a, w in m2.atoms.items()]
+    sums = {}
+    for a1, w1 in m1.atoms.items():
+        for c2, w2 in items2:
+            key = tuple(map(add, a1.coeffs, c2))
+            sums[key] = sums.get(key, 0.0) + w1 * w2
+    deficit = 1.0 - (1.0 - m1.deficit) * (1.0 - m2.deficit)
+    if prune > 0.0:
+        deficit += sum(w for w in sums.values() if w < prune)
+        sums = {c: w for c, w in sums.items() if w >= prune}
+    return DiscreteMeasure(m1.s, {CyclotomicInt(m1.s, c): w for c, w in sums.items()}, deficit)
+
+
+@st.composite
+def measures(draw, s):
+    """Up to 25 atoms of Z[w] with coefficients in [-60, 60] and weights in [0, 1]."""
+    deg = len(cyclotomic_polynomial(s)) - 1
+    atoms = draw(st.dictionaries(st.tuples(*[st.integers(-60, 60)] * deg),
+                                 st.floats(0.0, 1.0), max_size=25))
+    deficit = draw(st.sampled_from([0.0, 0.25]))
+    return DiscreteMeasure(s, {CyclotomicInt(s, c): w for c, w in atoms.items()}, deficit)
+
+
+def same_measure(got, want):
+    """Atoms with their weights, in order, and the deficit, all bit for bit."""
+    return list(got.atoms.items()) == list(want.atoms.items()) and got.deficit == want.deficit
+
+
 class TestCyclotomic:
     def test_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -81,6 +119,15 @@ class TestCyclotomic:
     def test_mixed_orders_rejected(self):
         with pytest.raises(ValueError):
             CyclotomicInt.integer(2, 1) + CyclotomicInt.integer(3, 1)
+
+    @pytest.mark.parametrize("s", range(1, 13))
+    def test_embedding_is_the_power_sum(self, s):
+        # the cached root powers are the ones each call once computed
+        w = cmath.exp(2j * cmath.pi / s)
+        deg = len(cyclotomic_polynomial(s)) - 1
+        for coeffs in ([1] + [0] * (deg - 1), [-7 + 3 * j for j in range(deg)], [60] * deg):
+            atom = CyclotomicInt(s, tuple(coeffs))
+            assert atom.to_complex() == sum(c * w**k for k, c in enumerate(coeffs))
 
 
 @pytest.mark.parametrize("call", [
@@ -203,6 +250,48 @@ class TestBesselLaw:
     def test_bessel_function_base(self):
         assert bessel_function(0, 0.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("t,r,want", [(700, 0, 0.015081295651531358),
+                                          (700, 3, 0.014984586661719439),
+                                          (720, 0, 0.014870284185509175),
+                                          (720, 3, 0.014777570639016565)])
+    def test_s2_weight_at_large_t(self, t, r, want):
+        # e^-t I_r(t) by mpmath 1.3.0; the terms of phi_r(t/2) alone overflow past t = 710
+        assert bessel_s2_weight(t, r) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_s2_weight_across_the_expansion_switch(self):
+        # Hankel's expansion from about t = 20 at r = 0, the folded series below; both sum to 1
+        for t in (0.5, 5.0, 19.0, 21.0, 60.0, 150.0):
+            total = math.fsum(bessel_s2_weight(t, r) for r in range(-int(t) - 80, int(t) + 81))
+            assert total == pytest.approx(1.0, abs=1e-13)
+        assert bessel_s2_weight(-2.0, 3) == pytest.approx(-math.exp(2.0) * bessel_function(3, 1.0))
+
+    def test_non_finite_and_overflowing_bessel_arguments(self):
+        # run apart, with a timeout: each of these once looped forever
+        code = """if True:
+            import json, math
+            from freebessel.classical import bessel_function, bessel_s2_weight
+            out = [bessel_s2_weight(1000, 0), bessel_s2_weight(1000, 3), bessel_s2_weight(1e300, 1)]
+            for f, args in ((bessel_function, (0, math.nan)), (bessel_function, (2, -math.inf)),
+                            (bessel_s2_weight, (math.nan, 0)), (bessel_s2_weight, (math.inf, 1)),
+                            (bessel_function, (0, 400.0))):
+                try:
+                    out.append(f(*args))
+                except (ValueError, OverflowError) as e:
+                    out.append(type(e).__name__)
+            print(json.dumps(out))
+        """
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        w0, w3, huge, *errors = json.loads(done.stdout)
+        assert w0 == pytest.approx(0.012617240455891257, rel=1e-12, abs=0)
+        assert w3 == pytest.approx(0.012560562182547120, rel=1e-12, abs=0)
+        assert huge == pytest.approx((2 * math.pi * 1e300) ** -0.5, rel=1e-15, abs=0)
+        assert errors == ["ArgumentError"] * 4 + ["OverflowError"]
+
 
 class TestBesselLawAgainstEnumeration:
     @pytest.mark.parametrize("s,p_max", [(1, 20), (2, 15), (3, 10), (4, 8), (5, 6)])
@@ -284,6 +373,61 @@ class TestConvolve:
             assert conv.weight_at(atom) == pytest.approx(
                 pab.weight_at(atom), abs=1e-10
             )
+
+    @given(st.integers(1, 8).flatmap(lambda s: st.tuples(measures(s), measures(s))),
+           st.sampled_from([0.0, 1e-3, 0.05, 0.3]))
+    @example((DiscreteMeasure(4, {}), DiscreteMeasure(4, {CyclotomicInt(4, (60, -60)): 1.0})), 0.0)
+    @example((DiscreteMeasure(2, {CyclotomicInt(2, (-60,)): 0.5, CyclotomicInt(2, (60,)): 0.5}),
+              DiscreteMeasure(2, {CyclotomicInt(2, (60,)): 0.5, CyclotomicInt(2, (-60,)): 0.5})),
+             0.3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_tuple_keys(self, pair, prune):
+        a, b = pair
+        assert same_measure(convolve(a, b, prune), convolve_by_tuples(a, b, prune))
+
+    @pytest.mark.parametrize("s,b1,b2", [(1, 0, 0), (1, 0, 5), (3, 1, 1), (5, 2, 7), (8, 60, 60),
+                                         (7, 13, 4)])
+    def test_sums_at_the_digit_bounds(self, s, b1, b2):
+        # every sign pattern of +-b_i: the sums reach +-(b1 + b2), the outermost balanced digits
+        deg = len(cyclotomic_polynomial(s)) - 1
+        def corners(b):
+            atoms = [tuple(b * (1 - 2 * (i >> j & 1)) for j in range(deg)) for i in range(2**deg)]
+            atoms += [(0,) * deg, (b,) + (0,) * (deg - 1)]
+            return DiscreteMeasure(s, {CyclotomicInt(s, c): 1.0 / (i + 2)
+                                       for i, c in enumerate(dict.fromkeys(atoms))})
+        m1, m2 = corners(b1), corners(b2)
+        for a, b in ((m1, m2), (m2, m1), (m1, m1)):
+            out = convolve(a, b)
+            assert same_measure(out, convolve_by_tuples(a, b))
+            bound = max(abs(c) for atom in out.atoms for c in atom.coeffs)
+            assert bound == max(abs(c) for atom in a.atoms for c in atom.coeffs) + \
+                max(abs(c) for atom in b.atoms for c in atom.coeffs)
+
+    def test_empty_measure(self):
+        m = bessel_law(3, 0.5, p_max=4)
+        empty = DiscreteMeasure(3, {}, 0.5)
+        for a, b in ((empty, m), (m, empty), (empty, empty)):
+            out = convolve(a, b, prune=1e-3)
+            assert out.atoms == {}
+            assert same_measure(out, convolve_by_tuples(a, b, prune=1e-3))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6, 12])
+    def test_bessel_law_is_the_tuple_chain(self, s):
+        for t in (0.3, 1.0, 2.5):
+            p_max = math.ceil(10 + 5 * t)  # the default, cut to a quarter of the work bound
+            while _convolution_work(s, p_max) > BESSEL_MAX_WORK // 4:
+                p_max -= 1
+            lam, law = t / s, dirac(s, 0)
+            pmf = [math.exp(-lam)]
+            for p in range(1, p_max + 1):
+                pmf.append(pmf[-1] * (lam / p))
+            for k in range(1, s + 1):
+                factor = {CyclotomicInt.from_coeffs(s, [0] * (k % s) + [p]): w
+                          for p, w in enumerate(pmf)}
+                law = convolve_by_tuples(law, DiscreteMeasure(s, factor))
+            got = bessel_law(s, t, p_max)
+            assert list(got.atoms.items()) == list(law.atoms.items())
+            assert got.deficit == max(1.0 - sum(pmf) ** s, 0.0)
 
     def test_roots_measure_self_convolution(self):
         rho = roots_of_unity_measure(2)

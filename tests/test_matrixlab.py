@@ -15,6 +15,7 @@ from freebessel.matrixlab import (
     _check_character_args,
     _dw_matrix,
     _gram_trace,
+    _report,
     _trace_powers,
     _trial_rng,
     dw_model_mc,
@@ -379,7 +380,32 @@ class TestGeodesics:
                 assert geodesic_count(s, k) == geodesic_walk(s, k)
 
 
+def hns_character_mc_by_phases(s, n, t, trials, seed, word):
+    """Test oracle: the character model with one complex exponential per diagonal entry."""
+    m = _check_character_args(n, t)
+    samples = []
+    for i in range(trials):
+        rng = _trial_rng(seed, i)
+        perm = rng.permutation(n)
+        fixed = np.nonzero(perm[:m] == np.arange(m))[0]
+        phases = np.exp(2j * np.pi * rng.integers(0, s, size=n) / s)
+        chi = phases[fixed].sum() if fixed.size else 0j
+        val = 1.0 + 0j
+        for sg in word.signs:
+            val *= chi if sg == 1 else np.conj(chi)
+        samples.append(val.real)
+    return _report(f"chi_t word {word}, s={s}, t={float(t)}", samples, n, seed)
+
+
 class TestCharacters:
+    @pytest.mark.parametrize("s,text", [(1, "u*"), (3, "u*"), (3, "uuu"), (4, "uu**u*"),
+                                        (5, "uuuuu")])
+    def test_root_table_matches_phases(self, s, text):
+        # the roots of unity, taken once per call, are the phases each trial once computed
+        word = ColoredWord.from_string(text)
+        args = (s, 200, Fraction(5, 8), 2000, 11, word)
+        assert hns_character_mc(*args) == hns_character_mc_by_phases(*args)
+
     def test_fixed_point_count(self):
         rep = hns_character_mc(
             1, n=200, t=1.0, trials=4000, seed=21, word=ColoredWord.from_string("u")
