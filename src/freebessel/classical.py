@@ -282,7 +282,7 @@ def _bessel_sum(r: int, u: float, shift: float) -> float:
     """
     if r < 0:
         raise ArgumentError("r must be >= 0")
-    u = _as_float("u", u)
+    u, r = _as_float("u", u), _as_float("r", r)
     sign, u = (-1.0 if u < 0 and r % 2 else 1.0), abs(u)
     if u == 0.0:
         return math.exp(-shift) if r == 0 else 0.0
@@ -316,7 +316,7 @@ def bessel_s2_weight(t: float, r: int) -> float:
     gives it where its terms fall below 2^-56 of the sum before they grow (from t near 20 at
     r = 0); the series with e^(-t) folded into its terms gives it elsewhere.
     """
-    t, r = _as_float("t", t), abs(r)
+    t, r = _as_float("t", t), abs(_as_float("r", r))  # 4 r^2 overflows to inf, not an error
     if t > 0:
         term = total = 1.0
         for k in range(1, 100):

@@ -1,8 +1,8 @@
 """The two-parameter free Bessel family: moments, supports, densities, existence.
 
-Moments are exact rationals.  Densities and their quadrature moments come from
-one closed-form curve: u = xG on the algebraic equation of the Stieltjes
-transform, with arg u in the lower half-plane as the parameter.
+Moments are exact rationals.  Densities, their quadrature moments and the support
+edges come from one closed-form curve: u = xG on the algebraic equation of the
+Stieltjes transform, with arg u in the lower half-plane as the parameter.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, lcm, pi, sqrt
+from math import exp, inf, lcm, log1p, pi, sqrt
 
 from .partitions import ArgumentError, _as_float, fuss_narayana_poly
 from .series import (
@@ -98,14 +98,6 @@ def phi(s: float, t: float, w: float) -> float:
         return t * w * float(np.float64(ratio) ** sf)
 
 
-def _critical_points(s: float, t: float) -> tuple[float, float]:
-    """The zeros w_-, w_+ of Phi' (t != 1)."""
-    disc = sqrt(t * t * (s - 1) ** 2 + 4 * s * t)
-    w_minus = (t * s - t + 2 - disc) / (2 * (1 - t))
-    w_plus = (t * s - t + 2 + disc) / (2 * (1 - t))
-    return w_minus, w_plus
-
-
 @dataclass(frozen=True)
 class SupportInfo:
     regime: str  # "t<1" | "t=1" | "t>1"
@@ -120,38 +112,41 @@ class SupportInfo:
 
 
 def support(s, t) -> SupportInfo:
-    """Support data in the three regimes.
+    """Support data in the three regimes: the ends of _curve at theta = 0.
 
-    t = 1: [0, (s+1)^(s+1)/s^s], exact for integer s.  t < 1: atom (1-t) at 0
-    plus a bulk [K_-, K_+] from the critical values of Phi.  t > 1: [0, K_+]
-    with K_+ from the unique critical point of w (1-w)^s / (t + (1-t) w).
+    There c = r is a real root of r^2 - 2br + 1 - t, b - 1 = t(s-1)/2, so r_+ r_- = 1 - t,
+    and x = u^s r with u = 1 - t/(1 - r) is an edge: K_+ = (1 + t/(r_+ - 1))^s r_+ and, where
+    the bulk stays away from 0 (t < 1, or s = 1), K_- = |1 - t|^(s+1)/K_+.  These are the
+    critical values t/Phi(w) of the paper, at w_- = 1/r_+ and w_+ = r_+/(1 - t); at t > 1,
+    s > 1, w_- = t/(r_+ - 1 + t) is the critical point of w (1-w)^s/(t + (1-t) w).  Every
+    value is held as an offset from 1, so none cancels as t -> 0 or t -> 1.  t = 1:
+    [0, (s+1)^(s+1)/s^s], exact for integer s.
     """
     sf, tf = float(s), float(t)
+    if not (sf > 0 and tf > 0):
+        raise ArgumentError("support requires s > 0 and t > 0")
+    if tf == 1 and Fraction(s).denominator == 1:
+        n = int(s)
+        return SupportInfo("t=1", Fraction(0), Fraction((n + 1) ** (n + 1), n**n), 0.0)
+    b_1 = tf * (sf - 1) / 2
+    sq = sqrt(b_1 * b_1 + tf * sf)
+    if not 0 < sq < inf:  # b_1 * b_1 overflows past t(s - 1) = 2.7e154, t s underflows
+        raise ValueError(f"support edges at (s, t) = ({s}, {t}) are past the double range")
+    rho = b_1 + sq if b_1 >= 0 else tf * sf / (sq - b_1)  # r_+ - 1
+    # u^s in log1p, as a power of the rounded u loses s ulps
+    k_plus = (1 + rho) * exp(sf * log1p(tf / rho))
     if tf == 1:
-        sq = Fraction(s)
-        if sq.denominator == 1:
-            n = sq.numerator
-            k_plus: float | Fraction = Fraction((n + 1) ** (n + 1), n**n)
-        else:
-            k_plus = (sf + 1) ** (sf + 1) / sf**sf
         return SupportInfo("t=1", Fraction(0), k_plus, 0.0)
-    # t < 1, or s = 1 and t > 1, where the bulk stays away from the origin:
-    # both critical values of Phi give edges ((1 -+ sqrt(t))^2 at s = 1).
-    if tf < 1 or sf == 1:
-        w_minus, w_plus = _critical_points(sf, tf)
-        k_minus = tf / phi(sf, tf, w_plus)
-        k_plus = tf / phi(sf, tf, w_minus)
-        tq = t if isinstance(t, Fraction) else Fraction(tf)  # so that 1 - t is rounded once
-        regime, atom = ("t<1", float(1 - tq)) if tf < 1 else ("t>1", 0.0)
-        info = SupportInfo(regime, k_minus, k_plus, atom, w_minus, w_plus)
-    else:  # s > 1: single relevant critical point of Phi_st(w) = w(1-w)^s/(t+(1-t)w)
-        disc = sqrt(tf * tf * (sf - 1) ** 2 + 4 * sf * tf)
-        w1 = (tf * (sf + 1) - disc) / (2 * sf * (tf - 1))
-        phi_st = w1 * (1 - w1) ** sf / (tf + (1 - tf) * w1)
-        info = SupportInfo("t>1", 0.0, 1 / phi_st, 0.0, w_minus=w1)
-    if not (isfinite(info.K_minus) and isfinite(info.K_plus)):  # t * t overflows past 1.3e154
-        raise ValueError(f"support edges K_- = {info.K_minus}, K_+ = {info.K_plus} are not finite")
-    return info
+    if not (tf < 1 or sf == 1):
+        return SupportInfo("t>1", 0.0, k_plus, 0.0, w_minus=tf / (rho + tf))
+    # 1 - t = hi + lo exactly, so that its power keeps every digit (and the atom 1 - t
+    # of a rational t is rounded once)
+    gap = 1 - (t if isinstance(t, Fraction) else Fraction(tf))
+    hi = float(gap)
+    lo = float(gap - Fraction(hi))
+    k_minus = abs(hi) ** sf * (abs(hi) / k_plus) * exp((sf + 1) * log1p(lo / hi))
+    regime, atom = ("t<1", hi) if tf < 1 else ("t>1", 0.0)
+    return SupportInfo(regime, k_minus, k_plus, atom, 1 / (1 + rho), (1 + rho) / hi)
 
 
 @dataclass(frozen=True)
@@ -185,13 +180,13 @@ class DensityGrid:
 
 
 def _roots(s: int, t: float, theta):
-    """b = -B/(2A), E = b^2 - 1 + t (neither cancels as t -> 0 or b -> 0) and db/d(theta)."""
+    """b - 1 for b = -B/(2A), E = b^2 - 1 + t (neither cancels as t -> 0 or b -> 0), db/d(theta)."""
     import numpy as np
     beta, sin = -s * theta, np.sin(theta)
-    h = t * np.sin(beta + theta) / (2 * sin)
-    b_1 = -2 * np.sin(beta / 2) ** 2 - h  # b - 1
-    db = s * np.sin(beta) + t * (np.sin(beta) + s * sin * np.cos(beta + theta)) / (2 * sin * sin)
-    return 1 + b_1, (b_1 * (b_1 + 2) + t if t < 1 else (1 + b_1) ** 2 + (t - 1)), db
+    # t multiplies last: t sin(theta) would be subnormal at t = 1e-300, theta ~ sqrt(t)
+    b_1 = -2 * np.sin(beta / 2) ** 2 - t * (np.sin(beta + theta) / (2 * sin))
+    db = s * np.sin(beta) + t * ((np.sin(beta) + s * sin * np.cos(beta + theta)) / (2 * sin * sin))
+    return b_1, (b_1 * (b_1 + 2) + t if t < 1 else (1 + b_1) ** 2 + (t - 1)), db
 
 
 def _curve(s: int, t: float, theta, root: int | None):
@@ -200,17 +195,20 @@ def _curve(s: int, t: float, theta, root: int | None):
     x = u^s (u - 1 + t)/(u - 1) is real when c = (u - 1 + t)/(u - 1) = r e^(-i s theta), r
     root 0 or 1 (t < 1) or the positive root (None) of A r^2 + B r + C, A = -sin theta,
     B = (1 - t) sin((1 - s) theta) + sin((1 + s) theta), C = (1 - t) A; so r = b +- sqrt(E).
+    r and c are held as offsets from 1, which carry the curve down to t = 1e-300.
     """
     import numpy as np
-    b, E, db = _roots(s, t, theta)
+    b_1, E, db = _roots(s, t, theta)
     sq = np.sqrt(np.maximum(E, 0.0))
-    q = b + np.copysign(sq, b)  # and (1 - t)/q: neither root cancels
-    r = np.maximum(q, (1 - t) / q) if root is None else (q, (1 - t) / q)[root]
-    dlog_r = np.copysign(db / sq, r - b)  # implicit differentiation of r^2 - 2br + 1 - t
-    c = r * np.exp(-1j * s * theta)
-    u = 1 - t / (1 - c)
-    dlog_u = -t * c * (dlog_r - 1j * s) / (u * (1 - c) ** 2)
-    return u, np.abs(u) ** s * r, s * dlog_u.real + dlog_r, dlog_u
+    q_1 = b_1 + np.copysign(sq, 1 + b_1)  # q - 1, and (1 - t)/q - 1: neither root cancels
+    roots = (q_1, (-t - q_1) / (1 + q_1))
+    r_1 = np.maximum(*roots) if root is None else roots[root]
+    dlog_r = np.copysign(db / sq, r_1 - b_1)  # implicit differentiation of r^2 - 2br + 1 - t
+    half = np.exp(-0.5j * s * theta)  # 1 - e^(-i s theta) = -2i half Im(half): no cancellation
+    one_c = -half * (2j * half.imag + r_1 * half)  # 1 - c
+    u = 1 - t / one_c
+    dlog_u = -t * (1 - one_c) * (dlog_r - 1j * s) / (u * one_c**2)
+    return u, np.abs(u) ** s * (1 + r_1), s * dlog_u.real + dlog_r, dlog_u
 
 
 def _theta_min(s: int, t: float) -> float:

@@ -244,6 +244,13 @@ class TestBesselLaw:
         assert list(exact.atoms.items()) == list(rounded.atoms.items())
         assert exact.deficit == rounded.deficit
 
+    def test_atom_past_the_doubles(self):
+        # 4 r^2 was an int converted to float: OverflowError, for an r near 1e154 too
+        for call in (lambda: bessel_s2_weight(5.0, 10**400), lambda: bessel_function(10**400, 1.0)):
+            with pytest.raises(ArgumentError, match="^r must be a finite number"):
+                call()
+        assert bessel_s2_weight(5.0, 10**154) == bessel_s2_weight(5.0, -(10**200)) == 0.0
+
     def test_weight_to_zero_t(self):
         assert bessel_s2_weight(1e-12, 0) == pytest.approx(1.0)
 

@@ -148,6 +148,25 @@ class TestDensity:
         assert results["support"]["K_minus"] == 0.0
         assert all(math.isfinite(v) and v >= 0 for v in results["grid"]["density"])
 
+    @pytest.mark.parametrize("argv, mass, rel", [
+        (["--s", "2", "--t", "1e-30"], Fraction(1, 10**30), 1e-12),
+        (["--s", "200", "--t", "999999999999/1000000000000"], 1 - Fraction(1, 10**12), 1e-5),
+    ], ids=["tiny-t", "s200-next-to-one"])
+    def test_edge_cells_of_t(self, capsys, argv, mass, rel):
+        # the first exited 2 by its quadrature mass, the second by a division by zero in the
+        # critical points of Phi
+        code, out, _ = run(capsys, "density", *argv, "--grid-points", "5")
+        assert code == 0
+        assert payload(out)["results"]["quadrature_mass"] == pytest.approx(float(mass), rel=rel)
+
+    def test_s_one_tiny_t_edges(self, capsys):
+        # the grid covered half the bulk: K_-+ read 1 -+ 1e-10 from the critical points of Phi
+        code, out, _ = run(capsys, "density", "--s", "1", "--t", "1e-20", "--grid-points", "5")
+        assert code == 0
+        support = payload(out)["results"]["support"]
+        assert support["K_minus"] == pytest.approx(1 - 2e-10, rel=1e-13, abs=0)
+        assert support["K_plus"] == pytest.approx(1 + 2e-10, rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("argv,message", [
         (["--s", "1", "--t", "1e30", "--grid-points", "3", "--k", "1"], "quadrature mass"),
         (["--s", "2", "--t", "1e160"], "quadrature mass"),

@@ -1,6 +1,7 @@
 """Moments, supports, densities, and the positivity probe of the two-parameter family."""
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +60,24 @@ def physical_roots(s: int, t: float, xs: np.ndarray) -> np.ndarray:
     companion[:, np.arange(1, s + 1), np.arange(s)] = 1.0
     roots = np.linalg.eigvals(companion)
     real = np.where(roots.imag <= 0, roots.real, -np.inf)
-    return roots[np.arange(len(xs)), np.argmax(real, axis=1)]
+    return polish(s, t, xs, roots[np.arange(len(xs)), np.argmax(real, axis=1)])
+
+
+def polish(s: int, t: float, xs, gs) -> np.ndarray:
+    """Newton steps in extended precision on x^s G^(s+1) + (t-1) x^(s-1) G^s - x G + 1.
+
+    Near an edge two roots meet, and a root from eigvals or np.roots is good only to
+    about the square root of the double precision there.
+    """
+    x = np.asarray(xs, dtype=np.longdouble)
+    g = np.asarray(gs, dtype=np.clongdouble)
+    a, b, t1 = x**s, x ** (s - 1), np.longdouble(t) - 1
+    for _ in range(8):
+        gs_1 = g ** (s - 1)
+        value = (a * g * g + t1 * b * g) * gs_1 - x * g + 1
+        slope = ((s + 1) * a * g + s * t1 * b) * gs_1 - x
+        g = g - value / slope
+    return g.astype(complex)
 
 
 def companion_density(s: int, t: float, xs) -> np.ndarray:
@@ -139,6 +157,7 @@ def continued_density(s: int, t: float, xs) -> np.ndarray:
     x0 = max(2.5 * float(support(s, t).K_plus), 2.5 * xs[order[0]])
     gs = np.empty(len(xs), dtype=complex)
     gs[order] = continue_branch(s, t, xs[order], x0, g_tail(s, t, x0))
+    gs = polish(s, t, xs, gs)
     return np.maximum(-gs.imag / np.pi, 0.0)
 
 
@@ -149,6 +168,30 @@ def graded_path(s: int, t: float) -> np.ndarray:
     mid = 0.5 * (a + b)
     g = np.geomspace(1e-12, 1, 240)
     return np.concatenate([a + (mid - a) * g, b - (b - mid) * g])
+
+
+def phi_critical_values(s, t) -> tuple[Decimal, Decimal]:
+    """(K_-, K_+) = (t/Phi(w_+), t/Phi(w_-)) at the zeros w_-+ of Phi', the paper's route.
+
+    In decimal at 60 digits plus the exponent of 1/t, as 1 - w_- ~ sqrt(t/s) cancels half
+    that many at small t.  K_- is an edge, and computed, only for t < 1 or s = 1.
+    """
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 60 + max(0, -Decimal(t).adjusted()), MIN_EMIN, MAX_EMAX
+        s, t = Decimal(s), Decimal(t)
+        disc = (t * t * (s - 1) ** 2 + 4 * s * t).sqrt()
+        w_plus, w_minus = ((t * s - t + 2 + sign * disc) / (2 * (1 - t)) for sign in (1, -1))
+
+        def critical_value(w):
+            return 1 / (w * ((1 - w) / (1 - (1 - t) * w)) ** s)
+
+        return critical_value(w_plus) if t < 1 or s == 1 else None, critical_value(w_minus)
+
+
+# s and t of the edge tests, from 1e-300 to 1e10 on both sides of t = 1
+_EDGE_S = [0.25, 0.5, 0.75, 1, 1.5, 2, 3, 5, 10, 100, 1000, 1e4, 1e5, 1e7]
+_EDGE_T = [1e-300, 1e-200, 1e-100, 1e-50, 1e-30, 1e-20, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9,
+           0.99, 1 - 1e-9, 1 + 1e-9, 1.01, 2.0, 10.0, 1e4, 1e10]
 
 
 def fraction_horner(s, t, k: int) -> Fraction:
@@ -339,6 +382,32 @@ class TestSupport:
             (2 + (1 - 2) * w) / (w * (1 - w) ** 2) * 1 / 1, rel=1e-12
         )
 
+
+    @pytest.mark.parametrize("s", _EDGE_S)
+    def test_edges_match_the_critical_values_of_phi(self, s):
+        # Phi's critical points cancel as t -> 0 and t -> 1 in doubles, and raised on both
+        # sides (a pole of Phi at t <= 1e-100, division by zero next to t = 1); the ends
+        # of the density curve at theta = 0 do not
+        cells = [(s, t) for t in _EDGE_T if s >= 1 or t < 1]
+        cells += [(200, 1 - 1e-12), (1000, 1 - 1e-9), (1e7, 1 + 1e-12)] * (s == _EDGE_S[-1])
+        for s, t in cells:
+            sup = support(s, t)
+            k_minus, k_plus = phi_critical_values(s, t)
+            edges = [(sup.K_plus, k_plus)] + [(sup.K_minus, k_minus)] * (t < 1 or s == 1)
+            for value, exact in edges:
+                if Decimal("2.3e-308") < exact < Decimal("1.7e308"):
+                    assert abs(Decimal(value) - exact) <= Decimal("1e-13") * exact, (s, t)
+
+    @pytest.mark.parametrize("t", [10.0**-e for e in range(1, 301, 3)]
+                             + [0.25, 0.5, 0.9, 0.99, 1 - 1e-12, 1 + 1e-12, 2.0, 4.0])
+    def test_s_one_edges_within_four_ulps(self, t):
+        # (1 -+ sqrt t)^2; the critical points of Phi were 1.1e8 ulps off at t = 1e-16
+        sup = support(1, t)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            root = Decimal(t).sqrt()
+            for value, exact in ((sup.K_minus, (1 - root) ** 2), (sup.K_plus, (1 + root) ** 2)):
+                assert abs(Decimal(value) - exact) <= 4 * Decimal(math.ulp(float(exact)))
 
     @pytest.mark.parametrize(
         "s, t, k_plus",
@@ -563,6 +632,15 @@ class TestQuadrature:
         t = 1e-6
         mass = quadrature_moments(s, t, 2)[0]
         assert mass == pytest.approx(t, rel=1e-5)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_tiny_t(self, s):
+        # with r and 1 - c held as doubles the mass was 2.6e-7 off at (2, 1e-20), and the
+        # mass check refused every cell from t = 1e-30 down
+        for e in range(15, 301):
+            t = 10.0**-e
+            exact = [t] + [float(moment(s, t, k)) for k in range(1, 4)]
+            assert quadrature_moments(s, t, 3) == pytest.approx(exact, rel=2e-12, abs=0), e
 
     @pytest.mark.parametrize(
         "s, t, rel",
