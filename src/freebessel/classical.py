@@ -317,6 +317,9 @@ def bessel_s2_weight(t: float, r: int) -> float:
     r = 0); the series with e^(-t) folded into its terms gives it elsewhere.
     """
     t, r = _as_float("t", t), abs(_as_float("r", r))  # 4 r^2 overflows to inf, not an error
+    # Chernoff: e^-t I_r(t) <= exp(t (cosh l - 1) - l r), sinh l = r/t; below e^-746 it rounds to 0
+    if t > 0 and r > 0 and r * (r / (t + math.hypot(t, r))) - r * math.asinh(r / t) < -746:
+        return 0.0
     if t > 0:
         term = total = 1.0
         for k in range(1, 100):

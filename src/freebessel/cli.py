@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .classical import BESSEL_MAX_P, BESSEL_MAX_WORK, bessel_law, power_pushforward
@@ -261,6 +262,7 @@ def cmd_probe(args, started: float) -> str:
 # --- parser -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # one per process: parse_args leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="freebessel", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

@@ -12,10 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import exp, inf, lcm, log1p, pi, sqrt
 
-from .partitions import ArgumentError, _as_float, fuss_narayana_poly
+from .partitions import ArgumentError, _as_float, _fuss_narayana_ints
 from .series import (
     MomentSequence,
-    _over_common_denominator,
     bernoulli_moments,
     boxplus_power,
     boxtimes_power,
@@ -46,18 +45,17 @@ def _moment_cached(s: Fraction, t: Fraction, k: int) -> Fraction:
     return Fraction(total, d * t.denominator**k)
 
 
-@lru_cache(maxsize=4096)  # keyed by s = p/q as integers, which hash faster than a Fraction
-def _narayana_ints(p: int, q: int, k: int) -> tuple[list[int], int]:
-    return _over_common_denominator(fuss_narayana_poly(Fraction(p, q), k))
+# keyed by s = p/q as integers, which hash faster than a Fraction
+_narayana_ints = lru_cache(maxsize=4096)(_fuss_narayana_ints)
 
 
 def _scaled_moment(s: Fraction, a: int, b: int, k: int) -> tuple[int, int]:
     """(n, d) with b^k m_k = n/d at t = a/b: with the coefficients c_j = n_j/d, n is the
     sum of n_j a^j b^(k-j), by homogeneous Horner in integers."""
     nums, d = _narayana_ints(s.numerator, s.denominator, k)
-    total = 0
-    for j, c in enumerate(reversed(nums)):
-        total = total * a + c * b**j
+    total, b_j = 0, 1
+    for c in reversed(nums):
+        total, b_j = total * a + c * b_j, b_j * b
     return total, d
 
 
@@ -346,20 +344,34 @@ class ProbeReport:
     failed_matrix: str | None = None  # "H0" | "H1"
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
+
+
+def _hankel_minors(c: list[int]):
+    """The k-th leading minors of H0 = (c_(i+j)) and H1 = (c_(i+j+1)), 2k <= len(c), up to a zero
+    divisor: H_k^(0) and H_k^(1) of H_k^(j) = det(c_(j+a+b))_(a,b<k), from H_0 = 1, H_1^(j) = c_j
+    by Desnanot-Jacobi, H_k^(j) H_(k-2)^(j+2) = H_(k-1)^(j) H_(k-1)^(j+2) - (H_(k-1)^(j+1))^2."""
+    below, level = [1] * len(c), c
+    while len(level) > 1:
+        yield level[0], level[1]
+        if not all(below[2:len(level)]):
+            return
+        below, level = level, [(x * z - y * y) // d for x, y, z, d
+                               in zip(level, level[1:], level[2:], below[2:])]
 
 
 def existence_probe(s, t, order: int = 6) -> ProbeReport:
     """Stieltjes moment-problem probe: is each leading block of H0 and H1 PSD?
 
-    H0 = (m_(i+j)) and H1 = (m_(i+j+1)), 0 <= i,j <= order, enter as the integers
-    L b^k m_k (t = a/b, L the lcm of their denominators): the positive congruence
-    diag(b^i) H diag(b^i) keeps the sign of every minor.  They go through integer
-    Bareiss elimination, which keeps a symmetric matrix symmetric, so each row holds
-    its entries from the diagonal on: the k-th pivot is the k x k leading minor
-    (less any dropped row), so the first negative pivot is the first failing minor.
-    A zero pivot's row is dropped; its first nonzero entry b, if any, fails the
-    block that b enters, since that block then holds [[0, b], [b, c]].
+    H0 = (m_(i+j)) and H1 = (m_(i+j+1)), 0 <= i,j <= order, enter as the integers c_k = L b^k m_k
+    (t = a/b, L the lcm of their denominators): the positive congruence diag(b^i) H diag(b^i)
+    keeps the sign of every minor.  The leading minors of both come from one table of Hankel
+    determinants of c_0..c_(2 order+1), by Desnanot-Jacobi with exact integer division: the
+    first negative minor of H0 fails the cell, else that of H1.  A cell with a zero minor or
+    divisor takes integer Bareiss elimination, which keeps a symmetric matrix symmetric, so each
+    row holds its entries from the diagonal on: the k-th pivot is the k x k leading minor (less
+    any dropped row).  A zero pivot's row is dropped; its first nonzero entry b, if any, fails
+    the block that b enters, since that block then holds [[0, b], [b, c]].
     """
     sf, tf = _as_float("s", s), _as_float("t", t)
     n, sq, tq = order + 1, Fraction(s), Fraction(t)
@@ -367,6 +379,15 @@ def existence_probe(s, t, order: int = 6) -> ProbeReport:
                          for k in range(1, 2 * order + 2)]
     lcd = lcm(*(d for _, d in scaled))
     ints = [m * (lcd // d) for m, d in scaled]
+    h1 = None  # the size of the first negative H1 minor
+    for k, (h0_k, h1_k) in enumerate(_hankel_minors(ints), 1):
+        if not h0_k or (h1 is None and not h1_k):
+            break
+        if h0_k < 0:
+            return ProbeReport(sf, tf, order, False, k, "H0")
+        h1 = k if h1 is None and h1_k < 0 else h1
+        if k == n:
+            return ProbeReport(sf, tf, order, h1 is None, h1, h1 and "H1")
     for name, shift in (("H0", 0), ("H1", 1)):
         rows, prev, bound = [ints[2 * i + shift:i + shift + n] for i in range(n)], 1, n + 1
         for j in range(1, n + 1):

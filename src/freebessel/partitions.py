@@ -10,7 +10,7 @@ import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, isfinite
+from math import comb, factorial, gcd, isfinite, prod
 from typing import Sequence
 
 DEFAULT_ENUM_BOUND = 14
@@ -185,13 +185,20 @@ def fuss_catalan(s, k: int) -> Fraction:
     """
     if k < 0:
         raise ArgumentError("k must be >= 0")
-    if k == 0:
-        return Fraction(1)
-    sk = Fraction(s) * k
-    num = Fraction(1)
-    for j in range(2, k + 1):
-        num *= sk + j
-    return num / factorial(k)
+    p, q = Fraction(s).numerator, Fraction(s).denominator  # in integers: s = p/q
+    return Fraction(prod(p * k + j * q for j in range(2, k + 1)), q ** max(k - 1, 0) * factorial(k))
+
+
+def _fuss_narayana_ints(p: int, q: int, k: int) -> tuple[list[int], int]:
+    """fuss_narayana_poly(p/q, k), q > 0, as c_b = nums[b]/d in lowest terms: over q^(k-1) k!,
+    c_b = binom(k-1, b-1) prod_(i < b-1) (pk - iq)/(q^(b-1) (b-1)! b) carries q^(k-b) k!/b!."""
+    nums, falling, scale = [0] * (k + 1), 1, 1
+    for b in range(1, k + 1):
+        nums[b], falling = comb(k - 1, b - 1) * falling, falling * (p * k - (b - 1) * q)
+    for b in range(k, 0, -1):
+        nums[b], scale = nums[b] * scale, scale * q * b
+    g = gcd(d := scale // q, *nums)
+    return [n // g for n in nums], d // g
 
 
 def fuss_narayana_poly(s, k: int) -> tuple[Fraction, ...]:
@@ -203,13 +210,9 @@ def fuss_narayana_poly(s, k: int) -> tuple[Fraction, ...]:
     """
     if k < 1:
         raise ArgumentError("k must be >= 1")
-    sk = Fraction(s) * k
-    coeffs = [Fraction(0)]
-    binom_sk = Fraction(1)  # binom(sk, b-1), updated one factor per step
-    for b in range(1, k + 1):
-        coeffs.append(comb(k - 1, b - 1) * binom_sk / b)
-        binom_sk *= (sk - b + 1) / b
-    return tuple(coeffs)
+    s = Fraction(s)
+    nums, d = _fuss_narayana_ints(s.numerator, s.denominator, k)
+    return tuple(Fraction(n, d) for n in nums)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from operator import add
 from pathlib import Path
@@ -250,6 +251,18 @@ class TestBesselLaw:
             with pytest.raises(ArgumentError, match="^r must be a finite number"):
                 call()
         assert bessel_s2_weight(5.0, 10**154) == bessel_s2_weight(5.0, -(10**200)) == 0.0
+
+    def test_weight_below_the_subnormals(self):
+        # Chernoff's bound, e^-5e99 here, returns 0.0 before the series (10^6 terms in about
+        # 0.5 s, then ValueError); where it does not decide, the value is the series' own
+        started = time.perf_counter()
+        assert bessel_s2_weight(1e300, 10**200) == 0.0
+        assert time.perf_counter() - started < 0.1
+        # e^(-r^2/2t)/sqrt(2 pi t) = 2.42e-151, with relative corrections far below 1e-12
+        want = math.exp(-0.5) / math.sqrt(2 * math.pi * 1e300)
+        assert bessel_s2_weight(1e300, 10**150) == pytest.approx(want, rel=1e-12, abs=0)
+        # the series raised OverflowError here, from a peak exponent lost in rounding
+        assert bessel_s2_weight(1e32, 10**20) == 0.0
 
     def test_weight_to_zero_t(self):
         assert bessel_s2_weight(1e-12, 0) == pytest.approx(1.0)

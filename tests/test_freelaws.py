@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from freebessel import freelaws
 from freebessel.freelaws import (
     _curve,
+    _hankel_minors,
     _scaled_moment,
     _theta_min,
     density,
@@ -786,6 +787,32 @@ class TestProbeOracle:
     def test_zero_pivot_cells(self, s, t, order):
         r = existence_probe(s, t, order)
         assert (r.passed, r.failed_minor, r.failed_matrix) == full_square_probe(s, t, order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([0, F(1, 2), F(3, 5), F(4, 5)]), st.integers(0, 4),
+                     st.fractions(min_value=0, max_value=4, max_denominator=6)),
+           st.one_of(st.sampled_from([0, 1, 2, F(5, 2), 6, -1]), st.integers(-2, 8),
+                     st.fractions(min_value=-2, max_value=8, max_denominator=6)),
+           st.integers(min_value=0, max_value=9))
+    def test_random_cells(self, s, t, order):
+        # s = 0, t = 0 and the zero-minor cells take the elimination, the rest the table; the
+        # rectangle fails in H0, and t < 0 (m_1 < 0) can fail in H1 first
+        r = existence_probe(s, t, order)
+        assert (r.passed, r.failed_minor, r.failed_matrix) == full_square_probe(s, t, order)
+
+    @pytest.mark.parametrize("s, t, levels", [
+        (F(1, 2), F(1, 2), 7), (2, F(3, 2), 7), (F(3, 10), 6, 7), (F(1, 2), 2, 7),
+        (F(4, 5), F(5, 2), 7), (0, 2, 3), (0, F(1, 2), 3),
+    ])
+    def test_table_minors(self, s, t, levels):
+        # over the common denominator d, the k-th minors of the integer blocks are d^k times
+        # those of the moments; at s = 0 the table stops before its first zero divisor
+        order = 6
+        c, d = _over_common_denominator([F(1)] + [moment(s, t, k) for k in range(1, 2 * order + 2)])
+        h0, h1 = (_leading_minors(_hankel(s, t, order, shift)) for shift in (0, 1))
+        got = list(_hankel_minors(c))
+        assert len(got) == levels
+        assert got == [(d**k * a, d**k * b) for k, a, b in zip(range(1, levels + 1), h0, h1)]
 
 
 class TestExistenceProbe:

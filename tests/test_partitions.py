@@ -5,7 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from freebessel.partitions import (
     SetPartition,
     _count_weighted,
     _enumerate_weighted,
+    _fuss_narayana_ints,
     count_balanced,
     count_nc_s,
     enumerate_balanced,
@@ -30,6 +31,7 @@ from freebessel.partitions import (
     join_block_count,
     star_moment,
 )
+from freebessel.series import _over_common_denominator
 
 
 def generalized_binomial(x, j: int) -> Fraction:
@@ -220,7 +222,7 @@ class TestFussCatalan:
         assert fuss_catalan(7, 0) == 1
 
     def test_matches_binomial_form(self):
-        for s in range(1, 5):
+        for s in (1, 2, 3, 4, Fraction(1, 2), Fraction(7, 3), Fraction(5, 2), Fraction(2, 9)):
             for k in range(0, 9):
                 sk = s * k
                 binom = generalized_binomial(sk + k, k)
@@ -258,6 +260,30 @@ class TestFussNarayana:
         for s in (1, 2, 3, 4):
             for k in range(1, 7):
                 assert sum(fuss_narayana_poly(s, k)) == fuss_catalan(s, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([0, 1, 2, 3, Fraction(1, 2), Fraction(5, 2), Fraction(1, 3), 0.3]),
+            st.fractions(min_value=0, max_value=12, max_denominator=50),
+        ),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_integer_row_matches_fraction_loop(self, s, k):
+        s = Fraction(s)
+        want = _over_common_denominator(fraction_narayana(s, k))
+        assert _fuss_narayana_ints(s.numerator, s.denominator, k) == want
+        assert fuss_narayana_poly(s, k) == fraction_narayana(s, k)
+
+
+def fraction_narayana(s: Fraction, k: int) -> tuple[Fraction, ...]:
+    """The Fraction loop that the integer row replaced: c_b = binom(k-1, b-1) binom(sk, b-1)/b,
+    binom(sk, b-1) updated by one factor per step.  The oracle for _fuss_narayana_ints."""
+    sk, binom_sk, coeffs = s * k, Fraction(1), [Fraction(0)]
+    for b in range(1, k + 1):
+        coeffs.append(comb(k - 1, b - 1) * binom_sk / b)
+        binom_sk *= (sk - b + 1) / b
+    return tuple(coeffs)
 
 
 class TestBalanced:
