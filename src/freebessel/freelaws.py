@@ -237,14 +237,15 @@ def _plan(s, t):
     if _as_float("s", s) < 1 or int(s) != s or not tf > 0:
         raise ArgumentError("density requires integer s >= 1 and t > 0")
     s = int(s)
-    if tf < 1:
-        start, p, pieces = _theta_min(s, tf), 2, ((0.0, 0), (0.0, 1))
-    else:
-        start, p, pieces = -pi / (s + 1), 3, ((0.0, None),) + ((-pi / s, None),) * (tf > 1)
     v, w = np.polynomial.legendre.leggauss(32)
     v, w = 0.5 * (v + 1), 0.5 * w
     quadrature, mass = [], 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN mass is refused below
+    # a NaN or inf mass is refused below: at subnormal t, _curve divides by 0, _roots makes NaN
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if tf < 1:
+            start, p, pieces = _theta_min(s, tf), 2, ((0.0, 0), (0.0, 1))
+        else:
+            start, p, pieces = -pi / (s + 1), 3, ((0.0, None),) + ((-pi / s, None),) * (tf > 1)
         for end, root in pieces:
             u, x, dlog_x, _ = _curve(s, tf, start + (end - start) * v**p, root)
             weight = w * np.abs(p * (end - start) * v ** (p - 1) * dlog_x) * -u.imag / np.pi
@@ -373,6 +374,8 @@ def existence_probe(s, t, order: int = 6) -> ProbeReport:
     any dropped row).  A zero pivot's row is dropped; its first nonzero entry b, if any, fails
     the block that b enters, since that block then holds [[0, b], [b, c]].
     """
+    if order < 0:
+        raise ArgumentError("order must be >= 0")
     sf, tf = _as_float("s", s), _as_float("t", t)
     n, sq, tq = order + 1, Fraction(s), Fraction(t)
     scaled = [(1, 1)] + [_scaled_moment(sq, tq.numerator, tq.denominator, k)

@@ -93,33 +93,26 @@ def sample_ginibre(
     return g
 
 
-def _trace_powers(A: np.ndarray, powers: Iterable[int]) -> dict[int, complex]:
-    """tr(A^m) for each m, forming only the powers that some m or formed power needs.
+def _half(m: int) -> int:
+    """The largest power of two below m > 1."""
+    return 1 << ((m - 1).bit_length() - 1)
 
-    Each m > 1, and each formed power, splits as a + b over formed powers (A^1
-    is given): tr(A^m) = sum_ij (A^a)_ij (A^b)_ji and A^m = A^a A^b.  From the
-    largest m down, a split takes two powers already chosen if it can, else one
-    chosen power above 1 and one new power, else the two halves.  [3, 6, 9]
-    forms A^2, A^4 and A^5: 3 products.
-    """
+
+def _power(formed: dict[int, np.ndarray], p: int) -> np.ndarray:
+    """A^p = A^h A^(p-h), h = _half(p), kept in formed = {1: A, ...}.  Not a closure: one
+    that calls itself is a reference cycle, which keeps each trial's powers until gc runs."""
+    if p not in formed:
+        h = _half(p)
+        formed[p] = _power(formed, h) @ _power(formed, p - h)
+    return formed[p]
+
+
+def _trace_powers(A: np.ndarray, powers: Iterable[int]) -> dict[int, complex]:
+    """tr(A^m) = sum_ij (A^h)_ij (A^(m-h))_ji for each m > 1, h = _half(m).  The chain
+    depends on m alone, not on the other powers: [3, 6, 9] forms A^2, A^4 and A^8."""
     import numpy as np
-    split: dict[int, tuple[int, int]] = {}
-    chosen, pending = {1}, set(powers) - {1}
-    while pending:
-        m = max(pending)
-        pending.remove(m)
-        pair = next(((m - a, a) for a in sorted(chosen) if m - a in chosen), None)
-        if pair is None:
-            pair = next(((m - b, b) for b in sorted(chosen, reverse=True) if 1 < b < m),
-                        ((m + 1) // 2, m // 2))
-        split[m] = pair
-        pending.update(set(pair) - chosen)
-        chosen.update(pair)
     formed = {1: A}
-    for p in sorted(chosen - {1}):  # the parts of a split are smaller than the power
-        a, b = split[p]
-        formed[p] = formed[a] @ formed[b]
-    return {m: complex(np.einsum("ij,ji->", formed[split[m][0]], formed[split[m][1]])
+    return {m: complex(np.einsum("ij,ji->", _power(formed, h := _half(m)), _power(formed, m - h))
                        if m > 1 else np.trace(A))
             for m in set(powers)}
 

@@ -439,6 +439,17 @@ class TestDensity:
         expected = np.sqrt(4 * t - (xs - 1 - t) ** 2) / (2 * np.pi * xs)
         assert np.allclose(density(1, t, xs), expected, atol=1e-10)
 
+    def test_penson_zyczkowski_s_two_t_one(self):
+        # pi_21 = pi^(boxtimes 2) in closed form (Penson-Zyczkowski, Product of Ginibre
+        # matrices: Fuss-Catalan and Raney distributions); the worst gap measured is 1.1e-14
+        # at 6.7499, where the form's own sqrt(81 - 12x) cancels
+        xs = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1, 2, 4, 6, 6.7, 6.7499])
+        R = 27 + 3 * np.sqrt(81 - 12 * xs)
+        c = np.cbrt(2)
+        want = c * np.sqrt(3) / (12 * np.pi) * (c * np.cbrt(R) ** 2 - 6 * np.cbrt(xs)) / (
+            np.cbrt(xs) ** 2 * np.cbrt(R))
+        np.testing.assert_allclose(density(2, 1, xs), want, rtol=1e-12, atol=0)
+
     def test_zero_outside_support(self):
         assert density(2, 1.0, 27 / 4 + 0.01) == 0
         assert density(2, 1.0, 10.0) == 0
@@ -668,6 +679,14 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="quadrature mass"):
             call()
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_subnormal_t_raises_only_the_mass_check(self, s):
+        # _curve divides by 0 and _theta_min's bisection meets NaN; no numpy warning may escape
+        for t in (1e-309, 1e-320, 5e-324):
+            with pytest.raises(ValueError, match="quadrature mass"):
+                quadrature_moments(s, t, 0)
+        assert quadrature_moments(s, 2e-308, 0)[0] == pytest.approx(2e-308, rel=1e-5)
+
 
 class TestDensityGrid:
     def test_mass_s1_t1(self):
@@ -832,6 +851,10 @@ class TestExistenceProbe:
         # whatever the size of the later entries
         report = existence_probe(F(1, 2), 6, order)
         assert (report.failed_matrix, report.failed_minor) == ("H0", 2)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ArgumentError, match="order must be >= 0"):
+            existence_probe(2, 0.5, -1)
 
     def test_report_dict(self):
         d = existence_probe(1, 1, 4).as_dict()

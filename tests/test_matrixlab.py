@@ -1,8 +1,10 @@
 """Matrix models, exact permutation sums, characters, Weingarten integration."""
 
 import functools
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -169,13 +171,14 @@ class TestGinibre:
 
 
 class CountingArray(np.ndarray):
-    """An array that counts the matrix products taken with it on the left."""
+    """An array that keeps a weak reference to each matrix product taken with it on the left."""
 
-    matmuls = 0
+    products: list[weakref.ref] = []
 
     def __matmul__(self, other):
-        CountingArray.matmuls += 1
-        return super().__matmul__(other)
+        out = super().__matmul__(other)
+        CountingArray.products.append(weakref.ref(out))
+        return out
 
 
 def power_loop_traces(A: np.ndarray, m_max: int) -> list[complex]:
@@ -200,21 +203,33 @@ class TestTracePowers:
         for m, want in enumerate(power_loop_traces(A, 12), start=1):
             assert abs(got[m] - want) <= 1e-12 * abs(want)
 
-    # the fewest products for which every power is a sum of two formed powers
+    # the products formed by splitting every power at the largest power of two below it; not
+    # the fewest for every set ({7, 14, 21} takes 7, where 6 suffice), but for these it is
     PRODUCTS = {(1,): 0, (2,): 0, (1, 2): 0, (3,): 1, (4, 2): 1, (3, 6, 9): 3, (2, 4, 6): 2,
-                (12, 1): 3, (11,): 4}
+                (12, 1): 3, (11,): 4, (1, 2, 3): 1, (4,): 1}
 
-    @pytest.mark.parametrize("powers", [[1], [2], [1, 2], [3], [4, 2], [3, 6, 9], [2, 4, 6],
-                                        [12, 1], [11]])
+    @pytest.mark.parametrize("powers", list(PRODUCTS))
     def test_products_up_to_half_the_largest_power(self, powers):
         A = sample_ginibre(8, 8, 1.0, _trial_rng(32, 0)).view(CountingArray)
-        CountingArray.matmuls = 0
+        CountingArray.products = []
         got = _trace_powers(A, powers)
-        assert CountingArray.matmuls == self.PRODUCTS[tuple(powers)]
-        assert CountingArray.matmuls <= (max(powers) + 1) // 2 - 1
+        assert len(CountingArray.products) == self.PRODUCTS[tuple(powers)]
+        assert len(CountingArray.products) <= (max(powers) + 1) // 2 - 1
         loop = power_loop_traces(A, max(powers))
         for m in powers:  # rounding grows with the norm of the products
             assert abs(got[m] - loop[m - 1]) <= 1e-13 * np.linalg.norm(A) ** m
+
+    def test_formed_powers_are_freed_without_the_collector(self):
+        # a memo filled by a closure that calls itself would hold them until gc runs
+        A = sample_ginibre(8, 8, 1.0, _trial_rng(33, 0)).view(CountingArray)
+        CountingArray.products = []
+        gc.disable()
+        try:
+            _trace_powers(A, [3, 6, 9, 11])
+            alive = [ref() is not None for ref in CountingArray.products]
+        finally:
+            gc.enable()
+        assert alive and not any(alive)
 
 
 class TestProductModel:
@@ -228,6 +243,11 @@ class TestProductModel:
         multi = product_model_mc_multi(s, N=16, powers=[1, 2, 3], trials=6, seed=18)
         for k in (1, 2, 3):
             assert multi[k] == product_model_mc(s, N=16, k=k, trials=6, seed=18)
+
+    def test_multi_equals_single_bit_for_bit(self):
+        multi = product_model_mc_multi(3, 8, range(1, 7), 3, 7)
+        for k in range(1, 7):
+            assert multi[k] == product_model_mc(3, 8, k, 3, 7)
 
 
 @pytest.mark.parametrize("call", [
@@ -289,6 +309,14 @@ class TestDWModel:
         multi = dw_model_mc_multi(2, N=32, powers=[2, 4], trials=20, seed=16)
         single = dw_model_mc(2, N=32, k=2, trials=20, seed=16)
         assert multi[4].estimate == single.estimate
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_multi_equals_single_bit_for_bit(self, s):
+        # a power's chain of products depends on the power alone, not on the others requested
+        powers = [s, 2 * s, 3 * s]
+        multi = dw_model_mc_multi(s, 8, powers, 3, 7)
+        for m in powers:
+            assert multi[m] == dw_model_mc(s, 8, 0, 3, 7, power=m)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_dw_matrix_bit_equal_to_scaled_wishart(self, s):
