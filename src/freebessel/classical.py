@@ -314,13 +314,19 @@ def bessel_s2_weight(t: float, r: int) -> float:
 
     Hankel's expansion e^(-t) I_r(t) = (2 pi t)^(-1/2) sum_k prod_(j <= k) ((2j-1)^2 - 4r^2)/(8jt)
     gives it where its terms fall below 2^-56 of the sum before they grow (from t near 20 at
-    r = 0); the series with e^(-t) folded into its terms gives it elsewhere.
+    r = 0), and Debye's leading term where hypot(t, r) >= 2^50; the series with e^(-t) folded
+    into its terms gives it elsewhere.
     """
     t, r = _as_float("t", t), abs(_as_float("r", r))  # 4 r^2 overflows to inf, not an error
-    # Chernoff: e^-t I_r(t) <= exp(t (cosh l - 1) - l r), sinh l = r/t; below e^-746 it rounds to 0
-    if t > 0 and r > 0 and r * (r / (t + math.hypot(t, r))) - r * math.asinh(r / t) < -746:
-        return 0.0
     if t > 0:
+        # Chernoff: e^-t I_r(t) <= exp(E), E = t (cosh l - 1) - l r, sinh l = r/t; below e^-746
+        # it rounds to 0.  Debye's term exp(E)/sqrt(2 pi hypot(t, r)) is off by about
+        # 1/(8 hypot(t, r)) relative: below 2^-53 from hypot(t, r) = 2^50 on.
+        hyp = math.hypot(t, r)
+        if (E := r * (r / (t + hyp)) - r * math.asinh(r / t)) < -746:
+            return 0.0
+        if hyp >= 2**50:
+            return math.exp(E) / math.sqrt(2 * math.pi * hyp)
         term = total = 1.0
         for k in range(1, 100):
             step = ((2 * k - 1) ** 2 - 4 * r * r) / (8 * k * t)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import exp, inf, lcm, log1p, pi, sqrt
 
-from .partitions import ArgumentError, _as_float, _fuss_narayana_ints
+from .partitions import ArgumentError, _as_float, _check_count, _fuss_narayana_ints
 from .series import (
     MomentSequence,
     bernoulli_moments,
@@ -34,8 +34,7 @@ def moment(s, t, k: int) -> Fraction:
     Exact when s and t are rational; generalized binomials make the formula
     meaningful for any real s > 0.
     """
-    if k < 1:
-        raise ArgumentError("k must be >= 1")
+    _check_count("k", k, 1)
     return _moment_cached(Fraction(s), Fraction(t), k)
 
 
@@ -260,8 +259,7 @@ def quadrature_moments(s: int, t: float, k_max: int) -> tuple[float, ...]:
     """(mass, m_1, ..., m_k_max) of the continuous part from _plan's quadrature; ValueError
     for a moment past the double range."""
     import numpy as np
-    if k_max < 0:
-        raise ArgumentError("k_max must be >= 0")
+    _check_count("k_max", k_max, 0)
     out = np.zeros(k_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf moment is refused below
         for weight, x in _plan(s, t)[5]:
@@ -283,7 +281,7 @@ def density(s: int, t: float, x) -> float | np.ndarray:
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(xs > 0):
-        raise ValueError("x must be positive")
+        raise ArgumentError("x must be positive")
     rho, log_xs = np.zeros(xs.shape), np.log(xs)
     todo = (xs > float(sup.K_minus)) & (xs < float(sup.K_plus))
     with np.errstate(all="ignore"):  # x(theta) underflows to 0 near x = 0 at large s
@@ -322,8 +320,7 @@ def density(s: int, t: float, x) -> float | np.ndarray:
 def density_grid(s: int, t: float, n_points: int = 400, k: int = 0) -> DensityGrid:
     """Density sampled on a support-covering grid, plus quadrature mass and m_1..m_k."""
     import numpy as np
-    if n_points < 1:
-        raise ArgumentError("n_points must be >= 1")
+    _check_count("n_points", n_points, 1)
     s_int, tf, _, _, sup, _ = _plan(s, t)
     a, b = float(sup.K_minus), float(sup.K_plus)
     eps = (b - a) * 1e-9
@@ -374,8 +371,7 @@ def existence_probe(s, t, order: int = 6) -> ProbeReport:
     any dropped row).  A zero pivot's row is dropped; its first nonzero entry b, if any, fails
     the block that b enters, since that block then holds [[0, b], [b, c]].
     """
-    if order < 0:
-        raise ArgumentError("order must be >= 0")
+    _check_count("order", order, 0)
     sf, tf = _as_float("s", s), _as_float("t", t)
     n, sq, tq = order + 1, Fraction(s), Fraction(t)
     scaled = [(1, 1)] + [_scaled_moment(sq, tq.numerator, tq.denominator, k)

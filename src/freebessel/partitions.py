@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, isfinite, prod
+from numbers import Integral
 from typing import Sequence
 
 DEFAULT_ENUM_BOUND = 14
@@ -35,6 +36,12 @@ def _as_float(name: str, value) -> float:
     except OverflowError:
         pass
     raise ArgumentError(f"{name} must be a finite number within the double range")
+
+
+def _check_count(name: str, value, floor: int) -> None:
+    """Refuse a count or an order that is not an integer at or above floor."""
+    if not (isinstance(value, Integral) and value >= floor):
+        raise ArgumentError(f"{name} must be >= {floor} and an integer")
 
 
 @dataclass(frozen=True)
@@ -156,8 +163,7 @@ def _count_weighted(weights: tuple[int, ...], s: int) -> list[int]:
 
 
 def _check_size(s: int, size: int, bound: int = DEFAULT_ENUM_BOUND) -> None:
-    if s < 1:
-        raise ArgumentError("s must be >= 1")
+    _check_count("s", s, 1)
     if size > bound:
         raise EnumerationBoundError(f"ground size {size} exceeds the enumeration bound {bound}")
 
@@ -167,12 +173,14 @@ def enumerate_nc_s(s: int, k: int, bound: int = DEFAULT_ENUM_BOUND) -> list[SetP
 
     ``k = 0`` returns the single empty partition.
     """
+    _check_count("k", k, 0)
     _check_size(s, s * k, bound)
     return _enumerate_weighted((1,) * (s * k), s)
 
 
 def count_nc_s(s: int, k: int) -> list[int]:
     """The count form of enumerate_nc_s: entry b counts its partitions with b blocks."""
+    _check_count("k", k, 0)
     _check_size(s, s * k)
     return _count_weighted((1,) * (s * k), s)
 
@@ -183,8 +191,7 @@ def fuss_catalan(s, k: int) -> Fraction:
     Computed through the polynomial form (sk+2)(sk+3)...(sk+k)/k!, which is
     defined for any rational s > 0.
     """
-    if k < 0:
-        raise ArgumentError("k must be >= 0")
+    _check_count("k", k, 0)
     p, q = Fraction(s).numerator, Fraction(s).denominator  # in integers: s = p/q
     return Fraction(prod(p * k + j * q for j in range(2, k + 1)), q ** max(k - 1, 0) * factorial(k))
 
@@ -208,8 +215,7 @@ def fuss_narayana_poly(s, k: int) -> tuple[Fraction, ...]:
     For integer s, c_b counts partitions in NC_s(k) with exactly b blocks,
     and sum_b c_b t^b is the k-th moment of the free Bessel law pi_st.
     """
-    if k < 1:
-        raise ArgumentError("k must be >= 1")
+    _check_count("k", k, 1)
     s = Fraction(s)
     nums, d = _fuss_narayana_ints(s.numerator, s.denominator, k)
     return tuple(Fraction(n, d) for n in nums)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, lcm, perm
 from operator import mul
 from typing import Iterable
 
@@ -89,15 +89,7 @@ class RationalSeries:
 
     def inverse(self) -> "RationalSeries":
         """Multiplicative inverse; requires c_0 != 0."""
-        if self.coeffs[0] == 0:
-            raise ValueError("constant term must be nonzero")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / self.coeffs[0]
-        for i in range(1, n + 1):
-            s = sum(self.coeffs[j] * out[i - j] for j in range(1, i + 1))
-            out[i] = -s / self.coeffs[0]
-        return RationalSeries(tuple(out), n)
+        return self.pow(-1)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner(z)); requires inner(0) = 0."""
@@ -113,43 +105,29 @@ class RationalSeries:
                 result = result + self.coeffs[i] * power
         return result
 
-    def log(self) -> "RationalSeries":
-        """Series logarithm; requires c_0 = 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        n = self.order
-        # log f = integral of f'/f
-        deriv = RationalSeries(
-            tuple((i + 1) * self.coeffs[i + 1] for i in range(n)), n - 1
-        )
-        quot = deriv * self.inverse().truncate(n - 1)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n):
-            out[i + 1] = quot.coeffs[i] / (i + 1)
-        return RationalSeries(tuple(out), n)
-
-    def exp(self) -> "RationalSeries":
-        """Series exponential; requires c_0 = 0."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp needs zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        # f' = g' f  =>  n f_n = sum_{j=1..n} j g_j f_{n-j}
-        for i in range(1, n + 1):
-            s = sum(j * self.coeffs[j] * out[i - j] for j in range(1, i + 1))
-            out[i] = s / i
-        return RationalSeries(tuple(out), n)
-
     def pow(self, r) -> "RationalSeries":
-        """Raise to a rational power via exp(r log); requires c_0 = 1, or c_0 > 0."""
-        c0 = self.coeffs[0]
-        if c0 <= 0:
-            raise ValueError("pow needs positive constant term")
-        rf = _frac(r)
-        normalized = self * (1 / c0)
-        scale = _frac_power(c0, rf)
-        return scale * (rf * normalized.log()).exp()
+        """self^r for rational r; requires c_0 != 0, c_0 > 0 for a fractional r, c_0^r rational.
+
+        J.C.P. Miller's recurrence n c_0 g_n = sum_(k=1..n) ((r + 1) k - n) c_k g_(n-k)
+        (Knuth, TAOCP vol. 2, 4.7), in integers: with c_k = a_k/d and r = p/q,
+        g_n = c_0^r N_n/((q a_0)^n n!), N_0 = 1 and
+        N_n = sum_k ((p + q) k - n q) a_k (q a_0)^(k-1) (n-1)!/(n-k)! N_(n-k).
+        """
+        c0, rf = self.coeffs[0], _frac(r)
+        if c0 == 0 or (c0 < 0 and rf.denominator != 1):
+            raise ValueError("pow needs a nonzero constant term, positive for a fractional power")
+        p, q = rf.numerator, rf.denominator
+        a, _ = _over_common_denominator(self.coeffs)
+        qa0, nums = q * a[0], [1]
+        b = [0] + [a_k * qa0 ** (k - 1) for k, a_k in enumerate(a[1:], 1)]
+        for n in range(1, self.order + 1):
+            nums.append(sum(((p + q) * k - n * q) * b[k] * perm(n - 1, k - 1) * nums[n - k]
+                            for k in range(1, n + 1) if b[k]))
+        scale, out, den = _frac_power(c0, rf), [], 1
+        for n, num in enumerate(nums):
+            out.append(scale * Fraction(num, den))
+            den *= qa0 * (n + 1)  # (q a_0)^n n!
+        return RationalSeries(tuple(out), self.order)
 
 
 def _frac_power(base: Fraction, r: Fraction) -> Fraction:
@@ -280,27 +258,21 @@ def moments_from_free_cumulants(kappa: CumulantSequence) -> MomentSequence:
 
 
 def classical_cumulants(m: MomentSequence) -> CumulantSequence:
-    """Classical cumulants: c_n = n! [z^n] log(1 + sum m_n z^n / n!)."""
-    n = m.order
-    egf = RationalSeries.from_coeffs(
-        [Fraction(1)] + [m[k] / factorial(k) for k in range(1, n + 1)], n
-    )
-    lg = egf.log()
-    return CumulantSequence(
-        "classical", tuple(lg.coeffs[k] * factorial(k) for k in range(1, n + 1))
-    )
+    """Classical cumulants from m_n = sum_(k=1..n) binom(n-1, k-1) c_k m_(n-k), m_0 = 1."""
+    ms, c = (Fraction(1),) + m.moments, []
+    for n in range(1, m.order + 1):
+        c.append(ms[n] - sum(comb(n - 1, k - 1) * c[k - 1] * ms[n - k] for k in range(1, n)))
+    return CumulantSequence("classical", tuple(c))
 
 
 def moments_from_classical_cumulants(c: CumulantSequence) -> MomentSequence:
-    """Inverse of classical_cumulants via the series exponential."""
+    """Inverse of classical_cumulants: m_n = sum_(k=1..n) binom(n-1, k-1) c_k m_(n-k)."""
     if c.kind != "classical":
         raise ValueError("expected classical cumulants")
-    n = c.order
-    lg = RationalSeries.from_coeffs(
-        [Fraction(0)] + [c[k] / factorial(k) for k in range(1, n + 1)], n
-    )
-    egf = lg.exp()
-    return MomentSequence(tuple(egf.coeffs[k] * factorial(k) for k in range(1, n + 1)))
+    ms = [Fraction(1)]
+    for n in range(1, c.order + 1):
+        ms.append(sum(comb(n - 1, k - 1) * c[k] * ms[n - k] for k in range(1, n + 1)))
+    return MomentSequence(tuple(ms[1:]))
 
 
 def free_add(mu: MomentSequence, nu: MomentSequence) -> MomentSequence:
@@ -326,7 +298,7 @@ def free_mult(mu: MomentSequence, nu: MomentSequence) -> MomentSequence:
 
 
 def boxtimes_power(m: MomentSequence, s) -> MomentSequence:
-    """Fractional free multiplicative power: S^s via exp(s log S)."""
+    """Fractional free multiplicative power: S^s by RationalSeries.pow."""
     sf = _frac(s)
     if sf == 1:
         return m

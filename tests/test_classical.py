@@ -278,6 +278,19 @@ class TestBesselLaw:
         # e^-t I_r(t) by mpmath 1.3.0; the terms of phi_r(t/2) alone overflow past t = 710
         assert bessel_s2_weight(t, r) == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("t,r,want", [(1e20, 10**11, 7.6945986267064193765e-33),
+                                          (1e32, 10**17, 7.6945986267064397842e-39),
+                                          (5e15, 2 * 10**8, 1.0333492677046028565e-10),
+                                          (3e15, 10**8, 1.3757049563820733742e-9),
+                                          (1.2e15, 0, 1.1516471649044517175e-8),
+                                          (2e15, 3 * 10**7, 7.1232602151386320545e-9),
+                                          (1e18, 10**9, 2.4197072451914334978e-10)])
+    def test_s2_weight_far_out(self, t, r, want):
+        # e^-t I_r(t) by mpmath 1.3.0 besseli at 40 digits; from hypot(t, r) = 2^50 on, Debye's
+        # leading term.  The first four once read 0.0, raised OverflowError, and raised
+        # ValueError (twice) after 10^6 series terms.
+        assert bessel_s2_weight(t, r) == pytest.approx(want, rel=1e-13, abs=0)
+
     def test_s2_weight_across_the_expansion_switch(self):
         # Hankel's expansion from about t = 20 at r = 0, the folded series below; both sum to 1
         for t in (0.5, 5.0, 19.0, 21.0, 60.0, 150.0):

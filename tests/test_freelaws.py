@@ -450,6 +450,34 @@ class TestDensity:
             np.cbrt(xs) ** 2 * np.cbrt(R))
         np.testing.assert_allclose(density(2, 1, xs), want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 8])
+    def test_haagerup_moller_t_one(self, s):
+        # pi_s1 = pi^(boxtimes s) in Haagerup-Moller's parametrization (The law of large numbers
+        # for the free multiplicative convolution): on phi in (0, pi/(s+1)), x(phi) =
+        # sin((s+1)phi)^(s+1)/(sin phi sin(s phi)^s) falls from K_+ to 0, and there rho =
+        # sin(phi)^2 sin(s phi)^(s-1)/(pi sin((s+1)phi)^s).  phi is bisected at each x in
+        # doubles; the worst gap measured is 1.1e-13 (s = 1).  From x/K_+ = 0.999999 on, x(phi)
+        # is flat enough at phi = 0 that the double oracle itself loses digits.
+        def x_of(phi):
+            return math.sin((s + 1) * phi) ** (s + 1) / (math.sin(phi) * math.sin(s * phi) ** s)
+
+        xs = (s + 1) ** (s + 1) / s**s * np.array(
+            [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99])
+        want = []
+        for x in xs:
+            lo, hi = 0.0, math.pi / (s + 1)  # x(lo) > x > x(hi)
+            while (phi := 0.5 * (lo + hi)) not in (lo, hi):
+                lo, hi = (phi, hi) if x_of(phi) > x else (lo, phi)
+            want.append(math.sin(phi) ** 2 * math.sin(s * phi) ** (s - 1)
+                        / (math.pi * math.sin((s + 1) * phi) ** s))
+        np.testing.assert_allclose(density(s, 1, xs), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+    def test_rejects_x_outside_the_domain(self, x):
+        for xs in (x, np.array([1.0, x])):
+            with pytest.raises(ArgumentError, match="x must be positive"):
+                density(2, 0.5, xs)
+
     def test_zero_outside_support(self):
         assert density(2, 1.0, 27 / 4 + 0.01) == 0
         assert density(2, 1.0, 10.0) == 0
@@ -891,4 +919,3 @@ class TestExistenceProbe:
         for s, t, order in cells:
             report = existence_probe(s, t, order)
             assert (report.failed_matrix, report.failed_minor) == _oracle(s, t, order)
-

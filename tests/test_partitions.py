@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebessel import cli, partitions
+from freebessel import cli, freelaws, partitions
 from freebessel.partitions import (
     ArgumentError,
     ColoredWord,
@@ -179,6 +179,19 @@ class TestEnumeration:
         pytest.param(lambda: count_nc_s(0, 3), id="check_size"),
         pytest.param(lambda: fuss_catalan(2, -1), id="fuss_catalan"),
         pytest.param(lambda: fuss_narayana_poly(2, 0), id="fuss_narayana_poly"),
+        # each of these returned a wrong answer (a negative k) or raised a bare TypeError
+        pytest.param(lambda: count_nc_s(2, -1), id="count_nc_s-negative"),
+        pytest.param(lambda: enumerate_nc_s(2, -1), id="enumerate_nc_s-negative"),
+        pytest.param(lambda: count_nc_s(2, 2.5), id="count_nc_s-float"),
+        pytest.param(lambda: enumerate_nc_s(2.5, 2), id="enumerate_nc_s-float-s"),
+        pytest.param(lambda: fuss_catalan(2, 2.5), id="fuss_catalan-float"),
+        pytest.param(lambda: fuss_narayana_poly(2, 2.5), id="fuss_narayana_poly-float"),
+        pytest.param(lambda: freelaws.moment(2, 0.5, 2.5), id="moment-float"),
+        pytest.param(lambda: freelaws.existence_probe(2, 0.5, 2.5), id="existence_probe-float"),
+        pytest.param(lambda: freelaws.quadrature_moments(2, 0.5, 2.5),
+                     id="quadrature_moments-float"),
+        pytest.param(lambda: freelaws.density_grid(2, 0.5, 2.5), id="density_grid-float-n"),
+        pytest.param(lambda: freelaws.density_grid(2, 0.5, 5, 2.5), id="density_grid-float-k"),
     ])
     def test_domain_error_is_an_argument_error(self, call):
         with pytest.raises(ArgumentError):

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +101,32 @@ def schoolbook_product(f: RationalSeries, g: RationalSeries) -> RationalSeries:
     return RationalSeries(tuple(out), n)
 
 
+def egf_log(f: RationalSeries) -> RationalSeries:
+    """log f for f_0 = 1 from f' = g' f, n g_n = n f_n - sum_(k<n) k g_k f_(n-k): the EGF route
+    that classical_cumulants replaced, kept as its oracle."""
+    g = [F(0)]
+    for n in range(1, f.order + 1):
+        g.append(f.coeffs[n] - sum((k * g[k] * f.coeffs[n - k] for k in range(1, n)), F(0)) / n)
+    return RationalSeries(tuple(g), f.order)
+
+
+def egf_exp(g: RationalSeries) -> RationalSeries:
+    """exp g for g_0 = 0 from f' = g' f, n f_n = sum_(k<=n) k g_k f_(n-k): the oracle for
+    moments_from_classical_cumulants."""
+    f = [F(1)]
+    for n in range(1, g.order + 1):
+        f.append(sum(k * g.coeffs[k] * f[n - k] for k in range(1, n + 1)) / n)
+    return RationalSeries(tuple(f), g.order)
+
+
+def power_by_products(f: RationalSeries, n: int) -> RationalSeries:
+    """f^n for n >= 0 as n products."""
+    out = series(1, order=f.order)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
 # wider than small_fractions, and zero as often as not
 product_coeffs = st.one_of(
     st.just(F(0)), st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
@@ -126,6 +152,44 @@ class TestProduct:
         assert series(0, order=3) * series(F(1, 2), 1) == series(0, 0)
         f, g = series(F(1, 2), F(-1, 3), 0, F(5, 7)), series(3, F(1, 6), order=6)
         assert f * g == schoolbook_product(f, g) == series(F(3, 2), F(-11, 12), F(-1, 18), F(15, 7))
+
+
+class TestPow:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @settings(max_examples=60, deadline=None)
+    @given(rational_series(7).filter(lambda f: f.coeffs[0] != 0), st.integers(-3, 4))
+    def test_integer_power_is_repeated_product(self, sign, f, n):
+        f = RationalSeries.from_coeffs((sign * abs(f.coeffs[0]),) + f.coeffs[1:])
+        one = series(1, order=f.order)
+        if n >= 0:
+            assert f.pow(n) == power_by_products(f, n)
+        else:
+            assert f.pow(n) * power_by_products(f, -n) == one
+            assert f.pow(n) == power_by_products(f.inverse(), -n)
+        assert f * f.inverse() == one
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4), st.integers(2, 3),
+           st.integers(-4, 4), rational_series(7))
+    def test_root_then_power(self, base, q, p, tail):
+        # c_0 = base^q is a q-th power, so f^(p/q) is rational
+        f = RationalSeries.from_coeffs((base**q,) + tail.coeffs[1:])
+        assert f.pow(F(p, q)).pow(q) == f.pow(p)
+
+    def test_square_root_of_a_square(self):
+        f = series(F(9, 4), 3, 1, order=6)  # (3/2 + z)^2
+        assert f.pow(F(1, 2)) == series(F(3, 2), 1, order=6)
+        assert f.pow(F(-1, 2)) == series(F(3, 2), 1, order=6).inverse()
+
+    @pytest.mark.parametrize("c0,r", [(0, 2), (0, -1), (0, F(1, 2)), (-4, F(1, 2)),
+                                      (-1, F(-3, 2))])
+    def test_rejects_a_constant_term_outside_the_domain(self, c0, r):
+        with pytest.raises(ValueError):
+            series(c0, 1, 2).pow(r)
+
+    def test_inverse_rejects_zero_constant_term(self):
+        with pytest.raises(ValueError):
+            series(0, 1, 2).inverse()
 
 
 NC_ORACLE_MAX = 10
@@ -286,6 +350,18 @@ class TestClassicalCumulants:
         c = classical_cumulants(m)
         assert c[1] == c0
         assert all(c[n] == 0 for n in range(2, 9))
+
+    @settings(max_examples=30, deadline=None)
+    @given(moment_sequences(8, m1_nonzero=False))
+    def test_matches_the_egf_route(self, m):
+        # c_n = n! [z^n] log(1 + sum m_n z^n/n!), and back by the exponential
+        egf = RationalSeries.from_coeffs([F(1)] + [m[k] / factorial(k) for k in range(1, 9)])
+        c = classical_cumulants(m)
+        assert [c[k] for k in range(1, 9)] == [egf_log(egf)[k] * factorial(k) for k in range(1, 9)]
+        lg = RationalSeries.from_coeffs([F(0)] + [c[k] / factorial(k) for k in range(1, 9)])
+        back = moments_from_classical_cumulants(c)
+        assert [back[k] for k in range(1, 9)] == [egf_exp(lg)[k] * factorial(k)
+                                                  for k in range(1, 9)]
 
     @settings(max_examples=30, deadline=None)
     @given(moment_sequences(8, m1_nonzero=False))
