@@ -13,18 +13,17 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from .partitions import ArgumentError, EnumerationBoundError, _as_float
+from .partitions import ArgumentError, EnumerationBoundError, _as_float, _check_count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic_polynomial(s: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the s-th cyclotomic polynomial.
 
     Computed by exact division of x^s - 1 by the product of the lower
     cyclotomic polynomials over proper divisors of s.
     """
-    if s < 1:
-        raise ArgumentError("s must be >= 1")
+    _check_count("s", s, 1)
     num = [-1] + [0] * (s - 1) + [1]  # x^s - 1
     for d in range(1, s):
         if s % d == 0:
@@ -180,8 +179,7 @@ class DiscreteMeasure:
 
 def exp_s(s: int, z: complex) -> complex:
     """The level-s exponential sum(z^(sk)/(sk)!), by the averaged form (1/s) sum_k exp(w^k z)."""
-    if s < 1:
-        raise ArgumentError("s must be >= 1")
+    _check_count("s", s, 1)
     w = cmath.exp(2j * cmath.pi / s)
     val = sum(cmath.exp(w**k * z) for k in range(1, s + 1)) / s
     if isinstance(z, (int, float)):
@@ -232,10 +230,10 @@ def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     t = _as_float("t", t)
     if s < 1 or not t > 0:
         raise ArgumentError("bessel_law needs s >= 1 and t > 0")
+    _check_count("s", s, 1)
     if p_max is None:
         p_max = math.ceil(min(10 + 5 * t, BESSEL_MAX_P + 1))  # 10 + 5t is inf near the double max
-    if p_max < 1:
-        raise ArgumentError("p_max must be >= 1")
+    _check_count("p_max", p_max, 1)
     if p_max > BESSEL_MAX_P:
         raise EnumerationBoundError(
             f"p_max exceeds the bound {BESSEL_MAX_P} (the default ceil(10 + 5t) does at t > 198)")
@@ -392,6 +390,7 @@ def dirac(s: int, atom: CyclotomicInt | int) -> DiscreteMeasure:
 
 def roots_of_unity_measure(s: int) -> DiscreteMeasure:
     """Uniform measure on the s-th roots of unity, as exact ring elements."""
+    _check_count("s", s, 1)
     atoms: dict[CyclotomicInt, float] = {}
     for k in range(s):
         key = CyclotomicInt.root_power(s, k)
@@ -405,8 +404,7 @@ def poisson_limit(s: int, n: int) -> DiscreteMeasure:
     Computed by binary powering under convolution; atoms below 1e-15 are pruned
     into the deficit to keep the atom map manageable for large n.
     """
-    if n < 1:
-        raise ArgumentError("n must be >= 1")
+    _check_count("n", n, 1)
     rho = roots_of_unity_measure(s)
     base_atoms = {CyclotomicInt.zero(s): 1.0 - 1.0 / n}
     for atom, w in rho.atoms.items():

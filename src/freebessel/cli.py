@@ -150,9 +150,7 @@ def cmd_moments(args, started: float) -> str:
     if s <= 0 or t <= 0:
         raise ArgumentError("need s,t > 0")
     _guard_region(s, t, args.force)
-    series = None
-    if s >= 1 or t <= 1:
-        series = moments_via_series(s, t, max(args.order, args.k))
+    series = moments_via_series(s, t, max(args.order, args.k)) if in_defined_region(s, t) else None
     rows = []
     for k in range(1, args.k + 1):
         closed = moment(s, t, k)

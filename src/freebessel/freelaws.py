@@ -15,11 +15,10 @@ from math import exp, inf, lcm, log1p, pi, sqrt
 from .partitions import ArgumentError, _as_float, _check_count, _fuss_narayana_ints
 from .series import (
     MomentSequence,
-    bernoulli_moments,
-    boxplus_power,
-    boxtimes_power,
+    RationalSeries,
     catalan_moments,
-    free_mult,
+    moments_from_s,
+    s_transform,
 )
 
 
@@ -59,26 +58,25 @@ def _scaled_moment(s: Fraction, a: int, b: int, k: int) -> tuple[int, int]:
 
 
 def moments_via_series(s, t, order: int) -> MomentSequence:
-    """Moments through the series pipeline, by one of the two defining routes.
+    """Moments m_1..m_order from one S transform of pi_st, reverted once.
 
-    Route 1 (s >= 1): boxtimes power (s-1) of free Poisson, boxtimes the
-    free Poisson boxplus power t.  Route 2 (t <= 1): Bernoulli(t) boxtimes
-    the free Poisson boxtimes power s.
+    S transforms multiply under boxtimes and S of mu^(boxplus t) is S_mu(z/t)/t, so with
+    S_pi(z) = 1/(1+z) that of the free Poisson law pi, route 1 (s >= 1), pi^(boxtimes s-1)
+    boxtimes pi^(boxplus t), has S = S_pi(z)^(s-1) S_pi(z/t)/t = (1+z)^(1-s)/(t+z).  Route 2
+    (t <= 1), Bernoulli(t) boxtimes pi^(boxtimes s), has S_Bernoulli(z) S_pi(z)^s with
+    S_Bernoulli(z) = (1+z)/(t+z): the same series.  Neither exists at t = 0.
     """
+    _check_count("order", order, 1)
     sf, tf = Fraction(s), Fraction(t)
-    pi = catalan_moments(order)
-    if sf >= 1:
-        left = boxtimes_power(pi, sf - 1)
-        right = boxplus_power(pi, tf)
-        if sf == 1:
-            return right
-        return free_mult(left, right)
-    if tf <= 1:
-        bern = bernoulli_moments(tf, order)
-        return free_mult(bern, boxtimes_power(pi, sf))
-    raise ValueError(
-        f"(s,t)=({s},{t}) is outside both defining routes (s < 1 and t > 1)"
-    )
+    if tf == 0:
+        raise ArgumentError("t must be nonzero for the series route")
+    if sf < 1 and tf > 1:
+        raise ValueError(
+            f"(s,t)=({s},{t}) is outside both defining routes (s < 1 and t > 1)"
+        )
+    s_pi = s_transform(catalan_moments(order))
+    dilated = tuple(c / tf ** (n + 1) for n, c in enumerate(s_pi.coeffs))
+    return moments_from_s(s_pi.pow(sf - 1) * RationalSeries(dilated, s_pi.order), order)
 
 
 def phi(s: float, t: float, w: float) -> float:
@@ -227,9 +225,10 @@ def _plan(s, t):
     Each piece runs from theta = start to end as start + (end - start) v^p, 32 Gauss-Legendre
     nodes in v: v^2 smooths the square-root end at theta_min (t < 1); v^3 clusters the nodes
     at -pi/(s+1), where the curve turns sharply as t -> 1+ (t >= 1).  A mass that misses
-    min(t, 1) by more than 1e-5 relative (at s = 1 and t above about 3e24, where the two
-    terms of d(log x)/d(theta) cancel, and at s above about 1e4) raises ValueError before
-    support(s, t) is built.  support takes the caller's t, so a rational t keeps 1 - t exact.
+    min(t, 1) by more than 1e-5 relative (at s = 1 and t = 1e24, 1e25 or 1e28 but not 3e24,
+    where the two terms of d(log x)/d(theta) cancel, and at s above about 1e4) raises
+    ValueError before support(s, t) is built.  support takes the caller's t, so a rational
+    t keeps 1 - t exact.
     """
     import numpy as np
     tf = _as_float("t", t)

@@ -13,6 +13,9 @@ from math import comb, lcm, perm
 from operator import mul
 from typing import Iterable
 
+from .partitions import _check_count, fuss_catalan
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -291,8 +294,6 @@ def free_mult(mu: MomentSequence, nu: MomentSequence) -> MomentSequence:
     """Free multiplicative convolution: S transforms multiply."""
     if mu.order != nu.order:
         raise ValueError("orders differ")
-    if mu[1] == 0 or nu[1] == 0:
-        raise ValueError("free_mult needs nonvanishing first moments")
     S = s_transform(mu) * s_transform(nu)
     return moments_from_s(S, mu.order)
 
@@ -306,10 +307,7 @@ def boxtimes_power(m: MomentSequence, s) -> MomentSequence:
         return MomentSequence.from_values([1] * m.order)
     if m[1] <= 0:
         raise ValueError("boxtimes_power needs m_1 > 0")
-    S = s_transform(m)
-    if S.coeffs[0] <= 0:
-        raise ValueError("boxtimes_power needs S(0) > 0")
-    return moments_from_s(S.pow(sf), m.order)
+    return moments_from_s(s_transform(m).pow(sf), m.order)
 
 
 def boxplus_power(m: MomentSequence, t) -> MomentSequence:
@@ -335,19 +333,17 @@ def eta_and_sigma(m: MomentSequence) -> tuple[RationalSeries, RationalSeries]:
 
 def catalan_moments(order: int) -> MomentSequence:
     """Moments of the standard free Poisson law: Catalan numbers."""
-    from .partitions import fuss_catalan
-
+    _check_count("order", order, 0)
     return MomentSequence.from_values([fuss_catalan(1, k) for k in range(1, order + 1)])
 
 
 def free_poisson_moments(t, order: int) -> MomentSequence:
     """Moments of the free Poisson law of parameter t (all free cumulants t)."""
-    tf = _frac(t)
-    return moments_from_free_cumulants(
-        CumulantSequence("free", (tf,) * order)
-    )
+    _check_count("order", order, 0)
+    return moments_from_free_cumulants(CumulantSequence("free", (_frac(t),) * order))
 
 
 def bernoulli_moments(t, order: int) -> MomentSequence:
     """Moments of (1-t) delta_0 + t delta_1: all equal to t."""
+    _check_count("order", order, 0)
     return MomentSequence.from_values([t] * order)

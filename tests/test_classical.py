@@ -135,6 +135,18 @@ class TestCyclotomic:
     pytest.param(lambda: cyclotomic_polynomial(0), id="cyclotomic_polynomial"),
     pytest.param(lambda: exp_s(0, 1.0), id="exp_s"),
     pytest.param(lambda: poisson_limit(2, 0), id="poisson_limit"),
+    # a non-integer count raised a bare TypeError
+    pytest.param(lambda: cyclotomic_polynomial(2.5), id="cyclotomic_polynomial-float"),
+    # a float equal to a cached integer key must not be served from the cache (an untyped
+    # lru_cache keys a keyword call on the value alone, so s=2.0 would hit s=2)
+    pytest.param(lambda: (cyclotomic_polynomial(s=2), cyclotomic_polynomial(s=2.0)),
+                 id="cyclotomic_polynomial-float-after-int"),
+    pytest.param(lambda: exp_s(2.5, 1), id="exp_s-float"),
+    pytest.param(lambda: poisson_limit(2, 2.5), id="poisson_limit-float-n"),
+    pytest.param(lambda: poisson_limit(2.5, 2), id="poisson_limit-float-s"),
+    pytest.param(lambda: roots_of_unity_measure(2.5), id="roots_of_unity_measure-float"),
+    pytest.param(lambda: bessel_law(2.5, 1), id="bessel_law-float-s"),
+    pytest.param(lambda: bessel_law(2, 1, p_max=2.5), id="bessel_law-float-p_max"),
 ])
 def test_domain_error_is_an_argument_error(call):
     with pytest.raises(ArgumentError, match="must be >= 1"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebessel import freelaws
+from freebessel import freelaws, series
 from freebessel.freelaws import (
     _curve,
     _hankel_minors,
@@ -26,7 +26,14 @@ from freebessel.freelaws import (
     support,
 )
 from freebessel.partitions import ArgumentError, enumerate_nc_s, fuss_catalan, fuss_narayana_poly
-from freebessel.series import _over_common_denominator
+from freebessel.series import (
+    _over_common_denominator,
+    bernoulli_moments,
+    boxplus_power,
+    boxtimes_power,
+    catalan_moments,
+    free_mult,
+)
 
 F = Fraction
 
@@ -298,11 +305,36 @@ class TestTripleAgreement:
                 assert part_sum == closed
 
     def test_both_routes_agree(self):
-        r1 = moments_via_series(2, F(1, 2), 8)  # s >= 1 route
-        # t <= 1 route is chosen automatically for s < 1; force comparison by
-        # checking the closed form, which route 2 must also reproduce
-        for k in range(1, 9):
-            assert r1[k] == moment(2, F(1, 2), k)
+        r1 = moments_via_series(2, F(1, 2), 12)  # s >= 1 route
+        # route 2 is chosen only for s < 1, so build it here from the free convolutions
+        pi = catalan_moments(12)
+        r2 = free_mult(bernoulli_moments(F(1, 2), 12), boxtimes_power(pi, 2))
+        assert r1.moments == r2.moments
+        assert all(r1[k] == moment(2, F(1, 2), k) for k in range(1, 13))
+
+    @pytest.mark.parametrize("s,t", [
+        (2, F(5, 4)), (F(5, 2), F(7, 3)), (1, 3), (F(1, 2), F(1, 3)), (F(1, 3), 1)])
+    def test_equals_the_free_convolutions(self, s, t):
+        # one S transform (1+z)^(1-s)/(t+z) against each defining chain of free convolutions
+        # that applies at (s, t); the chain's boxplus goes through free cumulants
+        pi = catalan_moments(12)
+        got = moments_via_series(s, t, 12)
+        if s >= 1:
+            route1 = free_mult(boxtimes_power(pi, s - 1), boxplus_power(pi, t))
+            assert got.moments == route1.moments
+        if t <= 1:
+            route2 = free_mult(bernoulli_moments(t, 12), boxtimes_power(pi, s))
+            assert got.moments == route2.moments
+        assert all(got[k] == moment(s, t, k) for k in range(1, 13))
+
+    @pytest.mark.parametrize("s,t", [(3, F(1, 2)), (F(5, 2), F(7, 3)), (F(1, 2), F(1, 3))])
+    def test_reverts_once_per_s_transform(self, monkeypatch, s, t):
+        # S_pi, then the way back to moments, on either defining route
+        calls = []
+        revert = series.revert
+        monkeypatch.setattr(series, "revert", lambda g: calls.append(g) or revert(g))
+        moments_via_series(s, t, 12)
+        assert len(calls) == 2
 
     def test_rejects_rectangle(self):
         with pytest.raises(ValueError):

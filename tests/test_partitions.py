@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebessel import cli, freelaws, partitions
+from freebessel import cli, freelaws, partitions, series
 from freebessel.partitions import (
     ArgumentError,
     ColoredWord,
@@ -192,6 +192,19 @@ class TestEnumeration:
                      id="quadrature_moments-float"),
         pytest.param(lambda: freelaws.density_grid(2, 0.5, 2.5), id="density_grid-float-n"),
         pytest.param(lambda: freelaws.density_grid(2, 0.5, 5, 2.5), id="density_grid-float-k"),
+        # the series layer's orders: an IndexError, a bare TypeError or an empty sequence before
+        pytest.param(lambda: freelaws.moments_via_series(2, 0.5, 0), id="moments_via_series-zero"),
+        pytest.param(lambda: freelaws.moments_via_series(2, 0.5, -1),
+                     id="moments_via_series-negative"),
+        pytest.param(lambda: freelaws.moments_via_series(2, 0.5, 2.5), id="moments_via_series-float"),
+        pytest.param(lambda: series.catalan_moments(-1), id="catalan_moments-negative"),
+        pytest.param(lambda: series.bernoulli_moments(0.5, -1), id="bernoulli_moments-negative"),
+        pytest.param(lambda: series.free_poisson_moments(0.5, 2.5), id="free_poisson_moments-float"),
+        # S(z/t)/t has no t = 0: zeros at s = 1 and a bare ValueError elsewhere before
+        pytest.param(lambda: freelaws.moments_via_series(1, 0, 4), id="moments_via_series-t-zero-1"),
+        pytest.param(lambda: freelaws.moments_via_series(2, 0, 4), id="moments_via_series-t-zero-2"),
+        pytest.param(lambda: freelaws.moments_via_series(0.5, 0, 4),
+                     id="moments_via_series-t-zero-half"),
     ])
     def test_domain_error_is_an_argument_error(self, call):
         with pytest.raises(ArgumentError):
