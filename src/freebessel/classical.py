@@ -262,6 +262,13 @@ def power_pushforward(m: DiscreteMeasure, s: int) -> DiscreteMeasure:
     return DiscreteMeasure(m.s, atoms, m.deficit)
 
 
+def _atom_index(r) -> float:
+    """float(r) for a Bessel index, refused unless it is an integer within the doubles."""
+    if not (out := _as_float("r", r)).is_integer():
+        raise ArgumentError("r must be an integer")
+    return out
+
+
 def bessel_function(r: int, u: float) -> float:
     """First-kind Bessel sum phi_r(u) = sum_p u^(2p+r)/(p! (p+r)!); OverflowError past the doubles."""
     return _bessel_sum(r, u, 0.0)
@@ -280,7 +287,7 @@ def _bessel_sum(r: int, u: float, shift: float) -> float:
     """
     if r < 0:
         raise ArgumentError("r must be >= 0")
-    u, r = _as_float("u", u), _as_float("r", r)
+    u, r = _as_float("u", u), _atom_index(r)
     sign, u = (-1.0 if u < 0 and r % 2 else 1.0), abs(u)
     if u == 0.0:
         return math.exp(-shift) if r == 0 else 0.0
@@ -315,7 +322,7 @@ def bessel_s2_weight(t: float, r: int) -> float:
     r = 0), and Debye's leading term where hypot(t, r) >= 2^50; the series with e^(-t) folded
     into its terms gives it elsewhere.
     """
-    t, r = _as_float("t", t), abs(_as_float("r", r))  # 4 r^2 overflows to inf, not an error
+    t, r = _as_float("t", t), abs(_atom_index(r))  # 4 r^2 overflows to inf, not an error
     if t > 0:
         # Chernoff: e^-t I_r(t) <= exp(E), E = t (cosh l - 1) - l r, sinh l = r/t; below e^-746
         # it rounds to 0.  Debye's term exp(E)/sqrt(2 pi hypot(t, r)) is off by about

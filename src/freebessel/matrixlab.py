@@ -16,6 +16,7 @@ from .partitions import (
     ArgumentError,
     ColoredWord,
     EnumerationBoundError,
+    _check_count,
     count_balanced,
     enumerate_balanced,
     join_block_count,
@@ -181,37 +182,23 @@ def dw_model_mc_multi(
 # --- exact expected traces from hook characters ----------------------------
 
 
-GLM_MAX_K = 20
+GLM_MAX_K = 60
 
 
-def _class_sums(K: int, step: int) -> dict[int, list[int]]:
-    """{l: sum of |C_lambda| prod_i (1 - (-y)^lambda_i)} over lambda |- K with l parts.
+def _times_linear(poly: list[int], cs: Iterable[int]) -> list[int]:
+    """The coefficients (ascending in x) of poly(x) prod_(c in cs) (x + c)."""
+    for c in cs:
+        poly = [a * c + a_prev for a, a_prev in zip(poly + [0], [0] + poly)]
+    return poly
 
-    Only cycle types whose parts are all multiples of ``step`` are summed; the
-    values are coefficient lists in y.  A depth-first walk over the parts in
-    non-increasing order extends the product one factor per part, and tracks
-    z_lambda = prod_i i^(m_i) m_i!, so |C_lambda| = K!/z_lambda.
+
+def _content_poly(K: int, r: int) -> list[int]:
+    """P_r(x) = prod_(c=-r..K-1-r) (x + c), the content product of the hook (K-r, 1^r) of S_K.
+
+    sum_sigma x^#cycles(sigma) sigma is central in the group algebra of S_K, and it acts on
+    that irreducible as P_r(x) (Jucys-Murphy elements).
     """
-    fact = math.factorial(K)
-    sums: dict[int, list[int]] = {}
-
-    def walk(rest: int, top: int, poly: list[int], length: int, z: int, mult: int) -> None:
-        if rest == 0:
-            acc = sums.setdefault(length, [0] * (K + 1))
-            size = fact // z
-            for i, c in enumerate(poly):
-                acc[i] += size * c
-            return
-        for part in range(min(rest, top) // step * step, 0, -step):
-            times = mult + 1 if part == top else 1
-            sign = -1 if part % 2 else 1
-            nxt = poly[:]
-            for i in range(part, K + 1):
-                nxt[i] -= sign * poly[i - part]
-            walk(rest - part, part, nxt, length + 1, z * part * times, times)
-
-    walk(K, K, [1] + [0] * K, 0, 1, 0)
-    return sums
+    return _times_linear([1], range(-r, K - r))
 
 
 def glm_exact(K: int, s: int = 1) -> dict[int, Fraction]:
@@ -222,44 +209,42 @@ def glm_exact(K: int, s: int = 1) -> dict[int, Fraction]:
     #NC_s(K/s).  At s = 1, D is the identity: the normalized Wishart trace E tr(W^K).
 
     sigma contributes M^(#cycles(sigma) + #cycles(sigma^-1 pi) - K - 1), pi the
-    full cycle.  Over a class C_lambda, sum q^#cycles(sigma^-1 pi) is
-    |C_lambda|/K! sum_r (-1)^r chi_r(lambda) prod_{c=-r}^{K-r-1} (q + c), with
-    chi_r the character of the hook (K-r, 1^r): only hooks are nonzero on pi.
-    chi_r(lambda) is the y^r coefficient of prod_i (1 - (-y)^lambda_i)/(1 + y)
-    (Zagier 1995; Stanley 2011).  The classes are summed per cycle count
-    before the hook sum, in integers, and divided by K! once.
+    full cycle.  Only the hooks (K-r, 1^r) have a nonzero character on pi, so with their
+    content products P_r (_content_poly) the value is M^(-K-1) sum_r P_r(M) H_r, where
+    H_r = (-1)^r sum_lambda |C_lambda|/K! chi_r(lambda) M^l(lambda) runs over the cycle
+    types lambda whose parts s divides.
+    chi_r(lambda) is the y^r coefficient of prod_i (1 - (-y)^lambda_i)/(1 + y) (Zagier
+    1995; Stanley 2011).  The exponential formula sums these products over the types as
+    [u^K] ((1 - (-yu)^s)/(1 - u^s))^(M/s), and division by 1 + y gives, with n = K/s,
+
+        H_r = sum_(b <= r/s) (-1)^b C(N+n-b-1, n-b) C(N, b),
+        C(N+n-b-1, n-b) C(N, b) = C(n, b) prod_(j<n-b) (M + js) prod_(j<b) (M - js)/(s^n n!).
+
+    Term b meets every P_r with r >= bs, so it multiplies their suffix sum; the total
+    is kept in integers and divided by s^n n! once.
     """
+    _check_count("K", K, 1)
+    _check_count("s", s, 1)
     if K > GLM_MAX_K:
-        raise EnumerationBoundError(f"K = {K} exceeds the hook-character bound {GLM_MAX_K}")
-    if K < 1:
-        raise ArgumentError("K must be >= 1")
-    if s < 1 or K % s:
-        raise ArgumentError(f"need an s >= 1 that divides K = {K}, got s = {s}")
-    # content polynomials of the hooks, coefficient lists in q
-    contents = []
-    for r in range(K):
-        poly = [1]
-        for c in range(-r, K - r):
-            poly = [a * c + b for a, b in zip(poly + [0], [0] + poly)]
-        contents.append(poly)
-    total: dict[int, int] = {}
-    for length, sums in _class_sums(K, s).items():
-        chi = [sums[0]]  # divide by 1 + y
-        for a in sums[1:K]:
-            chi.append(a - chi[-1])
-        assert sums[K] == chi[-1], "1 + y divides the class sum"
-        for r, c_r in enumerate(chi):
-            weight = -c_r if r % 2 else c_r
-            for j, coeff in enumerate(contents[r]):
-                e = j + length - K - 1
-                total[e] = total.get(e, 0) + weight * coeff
-    fact = math.factorial(K)
+        raise EnumerationBoundError(f"K = {K} exceeds the hook-sum bound {GLM_MAX_K}")
+    if K % s:
+        raise ArgumentError(f"need an s that divides K = {K}, got s = {s}")
+    n = K // s
+    total, tail = [0] * (K + n + 1), [0] * (K + 1)
+    for b in range(n - 1, -1, -1):
+        for r in range(b * s, b * s + s):  # tail = sum of P_r over r >= bs
+            tail = [x + y for x, y in zip(tail, _content_poly(K, r))]
+        poly = _times_linear(tail, [j * s for j in range(n - b)] + [-j * s for j in range(b)])
+        weight = (-1) ** b * math.comb(n, b)
+        for i, coeff in enumerate(poly):
+            total[i] += weight * coeff
+    denom = s**n * math.factorial(n)
     out = {}
-    for e in sorted(total, reverse=True):
-        count, rem = divmod(total[e], fact)
-        assert rem == 0, "K! divides the class-weighted hook sum"
+    for i in range(K + n, -1, -1):
+        count, rem = divmod(total[i], denom)
+        assert rem == 0, "s^n n! divides the hook sum"
         if count:
-            out[e] = Fraction(count)
+            out[i - K - 1] = Fraction(count)
     return out
 
 
@@ -274,6 +259,8 @@ def geodesic_count(s: int, k: int) -> int:
     is geodesic iff #cycles(sigma) + #cycles(sigma^-1 pi) = K + 1: exactly the
     permutations that contribute to the constant term of glm_exact.
     """
+    _check_count("s", s, 1)
+    _check_count("k", k, 0)
     if k == 0:
         return 1
     return int(glm_exact(s * k, s).get(0, 0))

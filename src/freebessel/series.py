@@ -221,6 +221,7 @@ def revert(g: RationalSeries) -> RationalSeries:
 
 def s_transform(m: MomentSequence) -> RationalSeries:
     """S(z) = (1 + 1/z) chi(z) from the moments, valid to order N-1."""
+    _check_count("order", m.order, 1)
     if m[1] == 0:
         raise ValueError("S transform needs m_1 != 0")
     psi = m.stieltjes() - RationalSeries.from_coeffs([1], m.order)
@@ -231,6 +232,7 @@ def s_transform(m: MomentSequence) -> RationalSeries:
 
 def moments_from_s(S: RationalSeries, order: int) -> MomentSequence:
     """Inverse of s_transform: the moment sequence m_1..m_order with the given S."""
+    _check_count("order", order, 1)
     if S.coeffs[0] == 0:
         raise ValueError("S(0) must be nonzero")
     if S.order < order - 1:

@@ -206,6 +206,13 @@ class TestBesselLaw:
     def test_symmetry_in_r(self):
         assert bessel_s2_weight(0.7, 3) == bessel_s2_weight(0.7, -3)
 
+    def test_rejects_non_integral_r(self):
+        for call in (lambda: bessel_s2_weight(1.0, 2.5), lambda: bessel_function(2.5, -1.0),
+                     lambda: bessel_s2_weight(1e300, 0.5), lambda: bessel_s2_weight(100.0, 1.5)):
+            with pytest.raises(ArgumentError, match="^r must be an integer"):
+                call()
+        assert bessel_s2_weight(0.7, 3.0) == bessel_s2_weight(0.7, 3)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ArgumentError):
             bessel_law(2, -1.0)  # negative Poisson weights otherwise

@@ -290,9 +290,9 @@ class TestGLMCommand:
         assert results["constant_term"] == "3/1"
 
     def test_largest_K(self, capsys):
-        code, out, _ = run(capsys, "glm", "--K", "20")
+        code, out, _ = run(capsys, "glm", "--K", "60")
         assert code == 0
-        assert payload(out)["results"]["constant_term"] == "6564120420/1"
+        assert payload(out)["results"]["constant_term"] == "1583850964596120042686772779038896/1"
 
     @pytest.mark.parametrize("K", range(1, 9))
     def test_s_defaults_to_one(self, capsys, K):
@@ -510,7 +510,7 @@ class TestSizeBounds:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["glm", "--K", "21"],
+            ["glm", "--K", "61"],
             ["partitions", "--s", "1", "--k", "20"],
             ["weingarten", "--s", "1", "--word", "u" * 15, "--n", "8"],
             ["weingarten", "--s", "1", "--word", "u" * 8, "--n", "8"],

@@ -101,6 +101,70 @@ def glm_walk(K: int, s: int | None = None) -> dict[int, Fraction]:
     return {e: Fraction(c) for e, c in sorted(poly.items(), reverse=True)}
 
 
+def class_sums(K: int, step: int) -> dict[int, list[int]]:
+    """{l: sum of |C_lambda| prod_i (1 - (-y)^lambda_i)} over lambda |- K with l parts.
+
+    Only cycle types whose parts are all multiples of ``step`` are summed; the
+    values are coefficient lists in y.  A depth-first walk over the parts in
+    non-increasing order extends the product one factor per part, and tracks
+    z_lambda = prod_i i^(m_i) m_i!, so |C_lambda| = K!/z_lambda.
+    """
+    fact = math.factorial(K)
+    sums: dict[int, list[int]] = {}
+
+    def walk(rest: int, top: int, poly: list[int], length: int, z: int, mult: int) -> None:
+        if rest == 0:
+            acc = sums.setdefault(length, [0] * (K + 1))
+            size = fact // z
+            for i, c in enumerate(poly):
+                acc[i] += size * c
+            return
+        for part in range(min(rest, top) // step * step, 0, -step):
+            times = mult + 1 if part == top else 1
+            sign = -1 if part % 2 else 1
+            nxt = poly[:]
+            for i in range(part, K + 1):
+                nxt[i] -= sign * poly[i - part]
+            walk(rest - part, part, nxt, length + 1, z * part * times, times)
+
+    walk(K, K, [1] + [0] * K, 0, 1, 0)
+    return sums
+
+
+def glm_by_cycle_types(K: int, s: int) -> dict[int, Fraction]:
+    """The oracle for glm_exact above the permutation walk: the hook characters class by class.
+
+    Over a class C_lambda, sum q^#cycles(sigma^-1 pi) is |C_lambda|/K! sum_r (-1)^r
+    chi_r(lambda) prod_(c=-r..K-r-1) (q + c), with chi_r(lambda) the y^r coefficient of
+    prod_i (1 - (-y)^lambda_i)/(1 + y).  The classes are summed per cycle count before
+    the hook sum, in integers, and divided by K! once.
+    """
+    contents = []
+    for r in range(K):
+        poly = [1]
+        for c in range(-r, K - r):
+            poly = [a * c + b for a, b in zip(poly + [0], [0] + poly)]
+        contents.append(poly)
+    total: dict[int, int] = {}
+    for length, sums in class_sums(K, s).items():
+        chi = [sums[0]]  # divide by 1 + y
+        for a in sums[1:K]:
+            chi.append(a - chi[-1])
+        assert sums[K] == chi[-1], "1 + y divides the class sum"
+        for r, c_r in enumerate(chi):
+            weight = -c_r if r % 2 else c_r
+            for j, coeff in enumerate(contents[r]):
+                e = j + length - K - 1
+                total[e] = total.get(e, 0) + weight * coeff
+    out = {}
+    for e in sorted(total, reverse=True):
+        count, rem = divmod(total[e], math.factorial(K))
+        assert rem == 0, "K! divides the class-weighted hook sum"
+        if count:
+            out[e] = Fraction(count)
+    return out
+
+
 def divisible_cycle_count(n: int, s: int) -> int:
     """#{sigma in S_n: every cycle length divisible by s}, by the cycle of n.
 
@@ -356,6 +420,12 @@ class TestGLMExact:
                 assert all(e <= 0 for e in poly)
 
     @pytest.mark.parametrize("K", range(9, 21))
+    def test_matches_cycle_type_sum(self, K):
+        for s in (s for s in range(1, K + 1) if K % s == 0):
+            got, want = glm_exact(K, s), glm_by_cycle_types(K, s)
+            assert got == want and list(got) == list(want)
+
+    @pytest.mark.parametrize("K", [*range(9, 21), 24, 30, 36, 48, 60])
     def test_above_the_walk(self, K):
         identity = glm_exact(K)
         assert sum(identity.values()) == math.factorial(K)
@@ -379,14 +449,20 @@ class TestGLMExact:
 
     def test_bound(self):
         with pytest.raises(EnumerationBoundError):
-            glm_exact(21)
+            glm_exact(61)
         with pytest.raises(EnumerationBoundError):
-            geodesic_count(3, 7)
+            geodesic_count(3, 21)
 
     def test_roots_requires_divisibility(self):
         for K, s in ((3, 2), (8, 3), (4, 0)):
             with pytest.raises(ArgumentError):
                 glm_exact(K, s)
+
+    def test_typed_refusals(self):
+        for args, name in (((4.0,), "K"), ((4, 2.0), "s"), ((2.5,), "K"), ((0,), "K"),
+                           ((-3, 1), "K"), ((4, -2), "s")):
+            with pytest.raises(ArgumentError, match=f"^{name} must be >= 1 and an integer"):
+                glm_exact(*args)
 
 
 class TestGeodesics:
@@ -406,6 +482,12 @@ class TestGeodesics:
         for s in range(1, 9):
             for k in range(0, 8 // s + 1):
                 assert geodesic_count(s, k) == geodesic_walk(s, k)
+
+    def test_typed_refusals(self):
+        for (s, k), name in (((0, 0), "s"), ((-1, 0), "s"), ((1.5, 2), "s"), ((2, -1), "k"),
+                             ((2, 1.0), "k")):
+            with pytest.raises(ArgumentError, match=f"^{name} must be >= "):
+                geodesic_count(s, k)
 
 
 def hns_character_mc_by_phases(s, n, t, trials, seed, word):

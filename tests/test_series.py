@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebessel.partitions import enumerate_nc_s, fuss_catalan
+from freebessel.partitions import ArgumentError, enumerate_nc_s, fuss_catalan
 from freebessel.series import (
     CumulantSequence,
     MomentSequence,
@@ -262,6 +262,10 @@ class TestSTransform:
         with pytest.raises(ValueError):
             s_transform(MomentSequence.from_values([0, 1, 0, 1]))
 
+    def test_rejects_no_moments(self):
+        with pytest.raises(ArgumentError, match="^order must be >= 1"):
+            s_transform(MomentSequence(()))
+
 
 class TestMomentsFromS:
     def test_catalan(self):
@@ -285,6 +289,11 @@ class TestMomentsFromS:
         S = s_transform(m)
         back = moments_from_s(S, S.order)
         assert all(back[k] == m[k] for k in range(1, S.order + 1))
+
+    def test_rejects_order_zero(self):
+        for order in (0, -1, 2.0):
+            with pytest.raises(ArgumentError, match="^order must be >= 1"):
+                moments_from_s(RationalSeries.from_coeffs([1]), order)
 
 
 class TestFreeCumulants:
