@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from .partitions import ArgumentError, EnumerationBoundError, _as_float, _check_count
+from .partitions import (BESSEL_MAX_P, BESSEL_MAX_WORK, ArgumentError, EnumerationBoundError,
+                         _as_float, _check_count)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -185,10 +186,6 @@ def exp_s(s: int, z: complex) -> complex:
     if isinstance(z, (int, float)):
         return val.real
     return val
-
-
-BESSEL_MAX_P = 1000
-BESSEL_MAX_WORK = 2 * 10**6
 
 
 def _convolution_work(s: int, p_max: int) -> int:

@@ -9,29 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .classical import BESSEL_MAX_P, BESSEL_MAX_WORK, bessel_law, power_pushforward
-from .freelaws import (
-    density_grid,
-    existence_probe,
-    in_defined_region,
-    moment,
-    moments_via_series,
-)
-from .matrixlab import (
-    dw_model_mc,
-    glm_eval,
-    glm_exact,
-    hns_character_mc,
-    product_model_mc,
-    weingarten_finite_n,
-)
 from .partitions import (
+    BESSEL_MAX_P,
+    BESSEL_MAX_WORK,
     DEFAULT_ENUM_BOUND,
     ArgumentError,
     ColoredWord,
@@ -110,6 +97,7 @@ def _grid_spec(text: str) -> list[Fraction]:
 
 
 def _guard_region(s, t, force: bool) -> None:
+    from .freelaws import in_defined_region
     if not in_defined_region(s, t) and not force:
         raise RegionError(
             f"(s,t)=({s},{t}) lies in the critical rectangle (0,1)x(1,inf); "
@@ -146,6 +134,7 @@ def _report(args: argparse.Namespace, results, started: float) -> str:
 
 
 def cmd_moments(args, started: float) -> str:
+    from .freelaws import in_defined_region, moment, moments_via_series
     s, t = args.s, args.t
     if s <= 0 or t <= 0:
         raise ArgumentError("need s,t > 0")
@@ -169,6 +158,7 @@ def cmd_moments(args, started: float) -> str:
 
 
 def cmd_density(args, started: float) -> str:
+    from .freelaws import density_grid
     grid = density_grid(args.s, args.t, args.grid_points, args.k)
     if args.format == "csv":
         return grid.to_csv()
@@ -198,6 +188,7 @@ def cmd_partitions(args, started: float) -> str:
 
 
 def cmd_mc(args, started: float) -> str:
+    from .matrixlab import dw_model_mc, hns_character_mc, product_model_mc
     if args.power is not None and args.model != "dw":
         raise ArgumentError("--power applies only to the dw model")
     if args.word is not None and args.model != "character":
@@ -215,6 +206,7 @@ def cmd_mc(args, started: float) -> str:
 
 
 def cmd_glm(args, started: float) -> str:
+    from .matrixlab import glm_eval, glm_exact
     poly = glm_exact(args.K, args.s)
     results: dict = {
         "polynomial": {str(e): c for e, c in poly.items()},
@@ -226,6 +218,7 @@ def cmd_glm(args, started: float) -> str:
 
 
 def cmd_classical(args, started: float) -> str:
+    from .classical import bessel_law, power_pushforward
     m = bessel_law(args.s, args.t, p_max=args.p_max)
     if args.pushforward:
         m = power_pushforward(m, args.s)
@@ -236,12 +229,14 @@ def cmd_classical(args, started: float) -> str:
 
 
 def cmd_weingarten(args, started: float) -> str:
+    from .matrixlab import weingarten_finite_n
     value = weingarten_finite_n(args.s, args.word, args.n, args.t)
     results = {"finite_n": value, "limit": star_moment(args.s, args.t, args.word)}
     return _report(args, results, started)
 
 
 def cmd_probe(args, started: float) -> str:
+    from .freelaws import existence_probe
     s_values = _grid_spec(args.s_grid)
     t_values = _grid_spec(args.t_grid)
     reports = [existence_probe(s, t, args.order) for s in s_values for t in t_values]
@@ -357,7 +352,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(payload, args.out_path)
+    try:
+        _emit(payload, args.out_path)
+        sys.stdout.flush()  # a reader that closed the pipe is met here, not at the exit's flush
+    except BrokenPipeError:
+        # the recipe of the signal docs' SIGPIPE note: devnull for the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1  # the status of an uncaught BrokenPipeError, without its traceback
     return 0
 
 

@@ -282,13 +282,13 @@ def hns_character_mc(
     _check_mc_args(s, n, trials)
     m = _check_character_args(n, t)
     roots = np.exp(2j * np.pi * np.arange(s) / s)
+    first = np.arange(m)
     samples = []
     for i in range(trials):
         rng = _trial_rng(seed, i)
-        perm = rng.permutation(n)
-        fixed = np.nonzero(perm[:m] == np.arange(m))[0]
-        k = rng.integers(0, s, size=n)
-        chi = roots[k[fixed]].sum() if fixed.size else 0j
+        fixed = np.nonzero(rng.permutation(n)[:m] == first)[0]
+        # the roots are read only at fixed points, and the generator ends with the trial
+        chi = roots[rng.integers(0, s, size=n)[fixed]].sum() if fixed.size else 0j
         val = 1.0 + 0j
         for sg in word.signs:
             val *= chi if sg == 1 else np.conj(chi)

@@ -15,6 +15,8 @@ from numbers import Integral
 from typing import Sequence
 
 DEFAULT_ENUM_BOUND = 14
+BESSEL_MAX_P = 1000  # classical.bessel_law's bounds; here, the CLI's help does not load classical
+BESSEL_MAX_WORK = 2 * 10**6
 
 U = 1
 UBAR = -1

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import freebessel
-from freebessel import cli
+from freebessel import classical, cli
 from freebessel.classical import DiscreteMeasure
 from freebessel.cli import main
 from freebessel.matrixlab import hns_character_mc
@@ -355,7 +355,7 @@ class TestClassicalCommand:
 class TestStrictJSON:
     def test_non_finite_value_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "bessel_law", lambda s, t, p_max=None: DiscreteMeasure(s, {}, math.inf)
+            classical, "bessel_law", lambda s, t, p_max=None: DiscreteMeasure(s, {}, math.inf)
         )
         code, out, err = run(capsys, "classical", "--s", "2", "--t", "1")
         assert code == 2
@@ -457,6 +457,9 @@ class TestModuleEntryPoint:
         exec("from freebessel import *", namespace)
         for name in freebessel.__all__:
             assert getattr(freebessel, name) is namespace[name]
+        for name in set(freebessel.__all__) - {"__version__"}:  # the defining module's object
+            assert namespace[name] is getattr(sys.modules[namespace[name].__module__], name)
+        assert set(freebessel.__all__) <= set(dir(freebessel))
 
     def test_python_m_from_checkout(self):
         done = subprocess.run([sys.executable, "-m", "freebessel", "--version"],
@@ -464,22 +467,39 @@ class TestModuleEntryPoint:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == cli.__version__
 
+    def test_reader_closing_the_pipe_early(self):
+        # about 570 KB, far past a 64 KiB pipe buffer, so the writer meets the closed pipe
+        argv = ["classical", "--s", "4", "--t", "1/2", "--p-max", "40"]
+        proc = subprocess.Popen([sys.executable, "-m", "freebessel", *argv], env=checkout_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b'{"config":'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
 
 COLD_SCRIPT = """
 import contextlib, io, json, sys
-import freebessel, freebessel.cli
-seen = [[None, "numpy" in sys.modules]]
+def loaded(code):
+    return [code, "numpy" in sys.modules, sorted(
+        m for m in ("partitions", "series", "freelaws", "classical", "matrixlab")
+        if "freebessel." + m in sys.modules)]
+import freebessel
+seen = [loaded(None)]
+import freebessel.cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = freebessel.cli.main(argv)
-    seen.append([code, "numpy" in sys.modules])
+    seen.append(loaded(code))
 print(json.dumps(seen))
 """
 
 
 def cold_run(argvs: list[list[str]]) -> list[list]:
-    """[exit code, numpy loaded] after `import freebessel` (code None), then after each
-    command, all in one fresh interpreter."""
+    """[exit code, numpy loaded, layer modules loaded] after `import freebessel` (code None),
+    then after each command, all in one fresh interpreter."""
     done = subprocess.run([sys.executable, "-c", COLD_SCRIPT, json.dumps(argvs)],
                           env=checkout_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -498,12 +518,26 @@ class TestColdStart:
             ["probe", "--s-grid", "1:3:3", "--t-grid", "1/2:2:3"],
             ["weingarten", "--s", "2", "--word", "uu**uu**", "--n", "64", "--t", "1/2"],  # dim 55
         ]
-        assert cold_run(argvs) == [[None, False]] + [[0, False]] * len(argvs)
+        assert [row[:2] for row in cold_run(argvs)] == [[None, False]] + [[0, False]] * len(argvs)
 
     def test_numeric_commands_still_work(self):
         argvs = [["density", "--s", "2", "--t", "1/2", "--grid-points", "5"],
                  ["mc", "--model", "dw", "--s", "2", "--dim", "4", "--trials", "2"]]
-        assert cold_run(argvs) == [[None, False], [0, True], [0, True]]
+        assert [row[:2] for row in cold_run(argvs)] == [[None, False], [0, True], [0, True]]
+
+    @pytest.mark.parametrize("argvs,unloaded", [
+        ([], {"partitions", "series", "freelaws", "classical", "matrixlab"}),
+        ([["partitions", "--s", "2", "--k", "6"], ["glm", "--K", "8"]],
+         {"freelaws", "series", "classical"}),
+        ([["classical", "--s", "2", "--t", "1/2", "--k", "2"]],
+         {"freelaws", "series", "matrixlab"}),
+        ([["moments", "--s", "2", "--t", "1", "--k", "4"]], {"classical", "matrixlab"}),
+    ], ids=["import", "partitions-glm", "classical", "moments"])
+    def test_commands_load_only_their_layers(self, argvs, unloaded):
+        rows = cold_run(argvs)
+        assert [code for code, _, _ in rows] == [None] + [0] * len(argvs)
+        assert rows[0][2] == []  # `import freebessel` loads no layer module
+        assert not unloaded & set(rows[-1][2])
 
 
 class TestSizeBounds:

@@ -507,6 +507,25 @@ def hns_character_mc_by_phases(s, n, t, trials, seed, word):
     return _report(f"chi_t word {word}, s={s}, t={float(t)}", samples, n, seed)
 
 
+def hns_character_mc_drawing_every_trial(s, n, t, trials, seed, word):
+    """Test oracle: the character model drawing the n root indices in every trial, fixed
+    points or none."""
+    m = _check_character_args(n, t)
+    roots = np.exp(2j * np.pi * np.arange(s) / s)
+    samples = []
+    for i in range(trials):
+        rng = _trial_rng(seed, i)
+        perm = rng.permutation(n)
+        fixed = np.nonzero(perm[:m] == np.arange(m))[0]
+        k = rng.integers(0, s, size=n)
+        chi = roots[k[fixed]].sum() if fixed.size else 0j
+        val = 1.0 + 0j
+        for sg in word.signs:
+            val *= chi if sg == 1 else np.conj(chi)
+        samples.append(val.real)
+    return _report(f"chi_t word {word}, s={s}, t={float(t)}", samples, n, seed)
+
+
 class TestCharacters:
     @pytest.mark.parametrize("s,text", [(1, "u*"), (3, "u*"), (3, "uuu"), (4, "uu**u*"),
                                         (5, "uuuuu")])
@@ -515,6 +534,15 @@ class TestCharacters:
         word = ColoredWord.from_string(text)
         args = (s, 200, Fraction(5, 8), 2000, 11, word)
         assert hns_character_mc(*args) == hns_character_mc_by_phases(*args)
+
+    @pytest.mark.parametrize("s,n,t,text", [(1, 200, 1.0, "u*"), (3, 200, 0.5, "u*"),
+                                            (3, 60, 0.1, "uuu"), (4, 12, 0.25, "uu**u*"),
+                                            (5, 4, 0.25, "uuuuu")])
+    def test_draws_only_at_fixed_points(self, s, n, t, text):
+        # a trial without a fixed point among the first m skips the draw its value never reads
+        args = (s, n, t, 3000, 5, ColoredWord.from_string(text))
+        rep, every = hns_character_mc(*args), hns_character_mc_drawing_every_trial(*args)
+        assert (rep.estimate, rep.std_error) == (every.estimate, every.std_error)
 
     def test_fixed_point_count(self):
         rep = hns_character_mc(
