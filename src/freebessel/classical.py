@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable
 
 from .partitions import (BESSEL_MAX_P, BESSEL_MAX_WORK, ArgumentError, EnumerationBoundError,
@@ -101,13 +101,11 @@ class CyclotomicInt:
     def power(self, n: int) -> "CyclotomicInt":
         if n < 0:
             raise ValueError("nonnegative powers only")
-        result = CyclotomicInt.integer(self.s, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        result = self if n else CyclotomicInt.integer(self.s, 1)
+        for bit in bin(n)[3:]:  # the bits below the top one, highest first
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def _check(self, other: "CyclotomicInt") -> None:
@@ -197,6 +195,7 @@ def _convolution_work(s: int, p_max: int) -> int:
     atoms of the one before, and no more than the box its reduced coefficients range over.
     As w, ..., w^phi(s) are independent, factor k <= min(s, phi(s) + 1) forms (p_max + 1)^k
     pairs, and phi(s) >= sqrt(s/2): that refuses a large s before its polynomial is built.
+    The bound counts this chain, so it also bounds the fewer pairs of bessel_law's even s form.
     """
     if (math.isqrt(s // 2) + 1) * math.log(p_max + 1) > math.log(BESSEL_MAX_WORK):
         return BESSEL_MAX_WORK + 1
@@ -215,14 +214,15 @@ def _convolution_work(s: int, p_max: int) -> int:
 def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     """The modified Bessel law: law of sum(w^k a_k) for independent Poisson(t/s) a_k.
 
-    The s-fold convolution of the laws of p w^k, p <= p_max, merged exactly
-    in Z[w] after each factor; the deficit is the exact product-Poisson tail
-    mass.  The default p_max = ceil(10 + 5t) bounds only that deficit, not the
-    Fourier tail at |z| > 1 (s = 1, t = 1.34: fourier(m, 1.2) is off by 2.5e-5
-    while the deficit is 8e-15); pass a larger p_max there.  A p_max, given or
-    default, above BESSEL_MAX_P raises EnumerationBoundError (t > 198 by default),
-    and so do an s and p_max whose convolutions would add more than BESSEL_MAX_WORK
-    coefficients (_convolution_work): s = 3, 5, 7, 11 admit p_max up to 98, 12, 4, 1.
+    The s-fold convolution of the laws of p w^k, p <= p_max, merged exactly in Z[w] after each
+    factor; the deficit is the exact product-Poisson tail mass.  At even s the factors k and
+    k + s/2 pair first, as w^(k + s/2) = -w^k: each pair is a truncated s = 2 law on the line
+    through w^k, and the s/2 line laws are chained.  The default p_max = ceil(10 + 5t) bounds
+    only that deficit, not the Fourier tail at |z| > 1 (s = 1, t = 1.34: fourier(m, 1.2) is
+    off by 2.5e-5 while the deficit is 8e-15); pass a larger p_max there.  A p_max, given or
+    default, above BESSEL_MAX_P raises EnumerationBoundError (t > 198 by default), and so do
+    an s and p_max whose convolutions would add more than BESSEL_MAX_WORK coefficients
+    (_convolution_work): s = 3, 5, 7, 11 admit p_max up to 98, 12, 4, 1.
     """
     t = _as_float("t", t)
     if s < 1 or not t > 0:
@@ -241,11 +241,11 @@ def bessel_law(s: int, t: float, p_max: int | None = None) -> DiscreteMeasure:
     pmf = [math.exp(-lam)]  # Poisson(lam) weights at p = 0..p_max
     for p in range(1, p_max + 1):
         pmf.append(pmf[-1] * (lam / p))
-    law = dirac(s, 0)
-    for k in range(1, s + 1):
-        factor = {CyclotomicInt.from_coeffs(s, [0] * (k % s) + [p]): w
-                  for p, w in enumerate(pmf)}
-        law = convolve(law, DiscreteMeasure(s, factor))
+    laws = [DiscreteMeasure(s, {CyclotomicInt.from_coeffs(s, [0] * (k % s) + [p]): w
+                                for p, w in enumerate(pmf)}) for k in range(1, s + 1)]
+    if s % 2 == 0:  # 2 * 41^2 + 81^2 pairs of atoms at s = 4, p_max = 40, not about 207 000
+        laws = [convolve(a, b) for a, b in zip(laws[:s // 2], laws[s // 2:])]
+    law = reduce(convolve, laws)
     deficit = 1.0 - sum(pmf) ** s
     return DiscreteMeasure(s, law.atoms, max(deficit, 0.0))
 
@@ -274,6 +274,14 @@ def bessel_function(r: int, u: float) -> float:
 BESSEL_MAX_TERMS = 10**6
 
 
+def _stirling_remainder(n: float) -> float:
+    """mu(n) = log n! - (n log n - n + log(2 pi n)/2), by Stirling's series from n = 10 on."""
+    if n < 10:
+        return math.lgamma(n + 1) - (n * math.log(n) - n + 0.5 * math.log(2 * math.pi * n))
+    series = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+    return sum(c * (1 / n) ** (2 * j + 1) for j, c in enumerate(series))  # next term < 4e-17
+
+
 def _bessel_sum(r: int, u: float, shift: float) -> float:
     """e^(-shift) phi_r(u), each term exp((2p + r) log|u| - lgamma(p+1) - lgamma(p+r+1) - shift).
 
@@ -289,7 +297,10 @@ def _bessel_sum(r: int, u: float, shift: float) -> float:
     if u == 0.0:
         return math.exp(-shift) if r == 0 else 0.0
     top = int(math.hypot(u, r / 2) - r / 2)
-    log_peak = (2 * top + r) * math.log(u) - math.lgamma(top + 1) - math.lgamma(top + r + 1) - shift
+    # log(u^n / n!) = n - n log(n/u) - log(2 pi n)/2 - mu(n): no parts of size t log t to cancel
+    log_peak = 2 * top + r - shift - sum(
+        n * math.log1p((n - u) / u) + 0.5 * math.log(2 * math.pi * n) + _stirling_remainder(n)
+        for n in (top, top + r) if n)
     if log_peak > 709.78:  # e^709.78 is the double max
         raise OverflowError(f"phi_{r}({u}) e^-{shift} exceeds the double range")
     total = term = peak = math.exp(log_peak)

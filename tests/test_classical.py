@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freebessel import classical
 from freebessel.classical import (
     BESSEL_MAX_P,
     BESSEL_MAX_WORK,
@@ -107,6 +109,17 @@ class TestCyclotomic:
         w = CyclotomicInt.root_power(4, 1)
         assert w.power(4) == CyclotomicInt.integer(4, 1)
         assert w.power(2) == CyclotomicInt.from_coeffs(4, [0, 0, 1])
+
+    @pytest.mark.parametrize("s", [*range(1, 9), 12])
+    def test_power_is_repeated_product(self, s):
+        rng = random.Random(s)
+        deg = len(cyclotomic_polynomial(s)) - 1
+        for _ in range(3):
+            x = CyclotomicInt(s, tuple(rng.randint(-9, 9) for _ in range(deg)))
+            want = CyclotomicInt.integer(s, 1)
+            for n in range(13):
+                assert x.power(n) == want
+                want = want * x
 
     def test_exact_merging_versus_embedding(self):
         # (w + w^2 + ... + w^s) = -1 in Z[w] for prime s
@@ -246,18 +259,22 @@ class TestBesselLaw:
             bessel_law(-4, 1.0)
 
     @pytest.mark.parametrize("s", range(1, 13))
-    def test_convolution_work_is_an_upper_bound(self, s):
-        deg = len(cyclotomic_polynomial(s)) - 1
-        for p_max in (1, 2, 3):
-            if (bound := _convolution_work(s, p_max)) > BESSEL_MAX_WORK:
-                continue
-            law, work = dirac(s, 0), 0
-            for k in range(1, s + 1):
-                work += deg * len(law.atoms) * (p_max + 1)
-                factor = {CyclotomicInt.from_coeffs(s, [0] * (k % s) + [p]): 1.0
-                          for p in range(p_max + 1)}
-                law = convolve(law, DiscreteMeasure(s, factor))
-            assert work <= bound
+    def test_convolution_work_is_an_upper_bound(self, s, monkeypatch):
+        # the bound counts the chain of s factors; it also bounds the paired form of even s
+        deg, work = len(cyclotomic_polynomial(s)) - 1, []
+
+        def counting(m1, m2, prune=0.0):
+            work.append(deg * len(m1.atoms) * len(m2.atoms))
+            return convolve(m1, m2, prune)
+
+        monkeypatch.setattr(classical, "convolve", counting)
+        admitted = [p for p in range(1, BESSEL_MAX_P + 1)
+                    if _convolution_work(s, p) <= BESSEL_MAX_WORK]
+        for p_max in sorted({1, 2, 3, max(admitted)} & set(admitted)):
+            work.clear()
+            bessel_law(s, 1.0, p_max)
+            assert len(work) == s - 1
+            assert sum(work) <= _convolution_work(s, p_max)
 
     def test_fraction_t_is_its_float(self):
         exact, rounded = bessel_law(3, Fraction(1, 3), p_max=8), bessel_law(3, 1 / 3, p_max=8)
@@ -310,6 +327,16 @@ class TestBesselLaw:
         # ValueError (twice) after 10^6 series terms.
         assert bessel_s2_weight(t, r) == pytest.approx(want, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("t,r,want", [(1e4, 1000, 8.0011515728609480062e-25),
+                                          (1e5, 1000, 8.5005188998705893461e-6),
+                                          (1e5, 2000, 2.6017588727684126357e-12),
+                                          (1e6, 3000, 4.431853951745946085e-6),
+                                          (1e6, 6000, 6.0761570276049284558e-12)])
+    def test_s2_weight_by_the_series_at_large_t(self, t, r, want):
+        # e^-t I_r(t) by mpmath 1.3.0 besseli at 50 digits.  Hankel's expansion diverges here, so
+        # the series serves them; its peak exponent as lgamma differences lost 1.1e-11 to 9.9e-10.
+        assert bessel_s2_weight(t, r) == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_s2_weight_across_the_expansion_switch(self):
         # Hankel's expansion from about t = 20 at r = 0, the folded series below; both sum to 1
         for t in (0.5, 5.0, 19.0, 21.0, 60.0, 150.0):
@@ -346,7 +373,8 @@ class TestBesselLaw:
 
 
 class TestBesselLawAgainstEnumeration:
-    @pytest.mark.parametrize("s,p_max", [(1, 20), (2, 15), (3, 10), (4, 8), (5, 6)])
+    @pytest.mark.parametrize("s,p_max", [(1, 20), (2, 15), (3, 10), (4, 8), (5, 6), (6, 3),
+                                         (8, 2)])
     def test_matches_tuple_enumeration(self, s, p_max):
         t = 0.9
         m = bessel_law(s, t, p_max=p_max)
@@ -469,14 +497,17 @@ class TestConvolve:
             p_max = math.ceil(10 + 5 * t)  # the default, cut to a quarter of the work bound
             while _convolution_work(s, p_max) > BESSEL_MAX_WORK // 4:
                 p_max -= 1
-            lam, law = t / s, dirac(s, 0)
+            lam = t / s
             pmf = [math.exp(-lam)]
             for p in range(1, p_max + 1):
                 pmf.append(pmf[-1] * (lam / p))
-            for k in range(1, s + 1):
-                factor = {CyclotomicInt.from_coeffs(s, [0] * (k % s) + [p]): w
-                          for p, w in enumerate(pmf)}
-                law = convolve_by_tuples(law, DiscreteMeasure(s, factor))
+            laws = [DiscreteMeasure(s, {CyclotomicInt.from_coeffs(s, [0] * (k % s) + [p]): w
+                                        for p, w in enumerate(pmf)}) for k in range(1, s + 1)]
+            if s % 2 == 0:  # the factors k and k + s/2 first, on their common line
+                laws = [convolve_by_tuples(laws[k], laws[k + s // 2]) for k in range(s // 2)]
+            law = laws[0]
+            for factor in laws[1:]:
+                law = convolve_by_tuples(law, factor)
             got = bessel_law(s, t, p_max)
             assert list(got.atoms.items()) == list(law.atoms.items())
             assert got.deficit == max(1.0 - sum(pmf) ** s, 0.0)
