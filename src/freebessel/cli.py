@@ -177,6 +177,8 @@ def cmd_partitions(args, started: float) -> str:
     else:
         if args.k is None:
             raise ArgumentError("need --k (or --word)")
+        if args.t != 1:
+            raise ArgumentError("--t applies only with --word")
         results = {
             "k": args.k,
             "count": sum(count_nc_s(s, args.k)),
@@ -193,6 +195,8 @@ def cmd_mc(args, started: float) -> str:
         raise ArgumentError("--power applies only to the dw model")
     if args.word is not None and args.model != "character":
         raise ArgumentError("--word applies only to the character model")
+    if args.t != 1 and args.model != "character":
+        raise ArgumentError("--t applies only to the character model")
     if args.model == "product":
         rep = product_model_mc(args.s, args.dim, args.k, args.trials, args.seed)
     elif args.model == "dw":
@@ -265,7 +269,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=rational, required=True)
     p.add_argument("--t", type=rational, required=True)
     p.add_argument("--k", type=_at_least(1), default=6)
-    p.add_argument("--order", type=int, default=16)
+    p.add_argument("--order", type=_at_least(1), default=16)
     p.add_argument("--force", action="store_true",
                    help="compute formal values inside the critical rectangle")
     p.set_defaults(func=cmd_moments)

@@ -19,7 +19,7 @@ from .partitions import (
     _check_count,
     count_balanced,
     enumerate_balanced,
-    join_block_count,
+    join_block_counts,
 )
 
 MASK64 = (1 << 64) - 1
@@ -339,8 +339,7 @@ def weingarten_finite_n(s: int, word: ColoredWord, n: int, t: Fraction | float) 
         raise EnumerationBoundError(
             f"Gram dimension {dim} exceeds the Weingarten bound {WEINGARTEN_MAX_DIM}"
         )
-    parts = enumerate_balanced(s, word)
-    half = [[join_block_count(p, q) for q in parts[:i + 1]] for i, p in enumerate(parts)]
+    half = join_block_counts(enumerate_balanced(s, word))
     if dim <= EXACT_WEINGARTEN_MAX_DIM:
         return float(_gram_trace(half, int(n), m))
     import numpy as np

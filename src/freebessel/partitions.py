@@ -59,12 +59,11 @@ class SetPartition:
 
     @staticmethod
     def from_blocks(blocks: Sequence[Sequence[int]]) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        elements = [x for b in canon for x in b]
-        m = len(elements)
-        if sorted(elements) != list(range(1, m + 1)):
-            raise ValueError("blocks must partition {1..m}")
-        return SetPartition(m, canon)
+        canon = sorted(tuple(sorted(b)) for b in blocks)  # disjoint blocks: ordered by minimum
+        elements = sorted(x for b in canon for x in b)
+        if not all(canon) or elements != list(range(1, len(elements) + 1)):
+            raise ArgumentError("blocks must be nonempty and partition {1..m}")
+        return SetPartition(len(elements), tuple(canon))
 
     @property
     def block_count(self) -> int:
@@ -72,21 +71,21 @@ class SetPartition:
 
 
 def is_noncrossing(p: SetPartition) -> bool:
-    """True iff no two blocks of ``p`` cross (no a < x < b < y with a~b, x~y, a!~x)."""
-    for i, b1 in enumerate(p.blocks):
-        for b2 in p.blocks[i + 1:]:
-            # blocks cross iff b2 has elements both inside and outside some
-            # gap of b1; equivalently the merged sequence alternates
-            inside = [b1[0] < x < b1[-1] for x in b2]
-            if any(inside):
-                # b2 starts after b1's min (canonical order), so crossing
-                # happens iff some element of b2 escapes past b1's max,
-                # or b2 straddles a gap of b1 containing an element of b1
-                if not all(inside):
-                    return False
-                lo, hi = b2[0], b2[-1]
-                if any(lo < a < hi for a in b1):
-                    return False
+    """True iff no two blocks of ``p`` cross (no a < x < b < y with a~b, x~y, a!~x).
+
+    One scan of the points in order, with a stack of the open blocks (met, not yet
+    finished): a point crosses exactly when its block is open but not on top.
+    """
+    block_of = {x: i for i, b in enumerate(p.blocks) for x in b}
+    last = [max(b) for b in p.blocks]
+    stack: list[int] = []
+    for x, i in sorted(block_of.items()):
+        if i not in stack:
+            stack.append(i)
+        elif stack[-1] != i:
+            return False
+        if x == last[i]:
+            stack.pop()
     return True
 
 
@@ -231,20 +230,16 @@ class ColoredWord:
 
     def __post_init__(self):
         if any(x not in (U, UBAR) for x in self.signs):
-            raise ValueError("letters must be U (+1) or UBAR (-1)")
+            raise ArgumentError("letters must be U (+1) or UBAR (-1)")
 
     @staticmethod
     def from_string(text: str) -> "ColoredWord":
         """Parse a word like "uu**": 'u'/'U' is the letter U, '*' or 'b' its conjugate."""
-        signs = []
-        for ch in text:
-            if ch in "uU":
-                signs.append(U)
-            elif ch in "*bB":
-                signs.append(UBAR)
-            else:
-                raise ValueError(f"unknown letter {ch!r}")
-        return ColoredWord(tuple(signs))
+        letters = dict.fromkeys("uU", U) | dict.fromkeys("*bB", UBAR)
+        try:
+            return ColoredWord(tuple(letters[ch] for ch in text))
+        except KeyError as exc:
+            raise ArgumentError(f"unknown letter {exc.args[0]!r}") from None
 
     @staticmethod
     def same_color(k: int) -> "ColoredWord":
@@ -283,40 +278,40 @@ def star_moment(s: int, t, word: ColoredWord) -> Fraction:
     return value
 
 
-def _join_roots(p: SetPartition, q: SetPartition) -> list[int]:
-    """Union-find over p's blocks and then q's: entry x is the least point of the block of
-    join(p, q) that holds x, for x = 1..m (entry 0 is 0)."""
-    if p.ground_size != q.ground_size:
-        raise ValueError("ground sizes differ")
-    root = list(range(p.ground_size + 1))
-    for block in p.blocks:  # canonical: block[0] is the least point
-        for x in block[1:]:
-            root[x] = block[0]
+def _block_masks(*parts: SetPartition) -> list[list[int]]:
+    """Each partition's blocks as bitmasks, point x as bit x, for partitions of one ground size."""
+    if len({p.ground_size for p in parts}) > 1:
+        raise ArgumentError("ground sizes differ")
+    return [[sum(1 << x for x in b) for b in p.blocks] for p in parts]
 
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
 
-    for block in q.blocks:
-        for x in block[1:]:
-            a, b = find(block[0]), find(x)
-            root[max(a, b)] = min(a, b)
-    for x in range(1, len(root)):  # every entry is at most its index: resolve upwards
-        root[x] = root[root[x]]
-    return root
+def _merge(blocks: list[int], q: list[int]) -> list[int]:
+    """The blocks of the join as bitmasks: each block of q ORs together the blocks it meets."""
+    for qb in q:
+        rest = []
+        for b in blocks:
+            if b & qb:
+                qb |= b
+            else:
+                rest.append(b)
+        blocks = rest + [qb]
+    return blocks
 
 
 def join(p: SetPartition, q: SetPartition) -> SetPartition:
     """Join in the partition lattice: finest partition coarser than both p and q."""
-    groups: dict[int, list[int]] = {}
-    for x, root in enumerate(_join_roots(p, q)[1:], start=1):
-        groups.setdefault(root, []).append(x)
-    # the sweep meets each block's points in order, and the blocks in order of minima
-    return SetPartition(p.ground_size, tuple(map(tuple, groups.values())))
+    merged = sorted(_merge(*_block_masks(p, q)), key=lambda b: b & -b)  # by least point
+    return SetPartition(p.ground_size, tuple(
+        tuple(x for x in range(b.bit_length()) if b >> x & 1) for b in merged))
 
 
 def join_block_count(p: SetPartition, q: SetPartition) -> int:
     """The number of blocks of join(p, q), without building the partition."""
-    return len(set(_join_roots(p, q))) - 1
+    return len(_merge(*_block_masks(p, q)))
+
+
+def join_block_counts(parts: Sequence[SetPartition]) -> list[list[int]]:
+    """The lower triangle of |p join q| over parts: row i holds the pairs (parts[i], parts[j]),
+    j <= i.  Each partition's masks are built once."""
+    masks = _block_masks(*parts)
+    return [[len(_merge(a, b)) for b in masks[:i + 1]] for i, a in enumerate(masks)]

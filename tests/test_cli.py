@@ -274,6 +274,17 @@ class TestMCCommand:
         assert results["estimate"] == exact.estimate
         assert results["statistic"] == "chi_t word u, s=1, t=0.29"
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--model", "product", "--s", "2", "--k", "1", "--dim", "4", "--trials", "3"],
+        ["mc", "--model", "dw", "--s", "2", "--dim", "4", "--trials", "3"],
+        ["partitions", "--s", "2", "--k", "3"],
+    ], ids=["product", "dw", "partitions"])
+    def test_t_one_is_the_default(self, capsys, argv):
+        # a --t that a command does not read is refused, save its default 1
+        default, explicit = (payload(run(capsys, *argv, *flag)[1]) for flag in ([], ["--t", "1"]))
+        default.pop("wall_time_s"), explicit.pop("wall_time_s")
+        assert default == explicit
+
     def test_character_needs_word(self, capsys):
         code, _, err = run(
             capsys, "mc", "--model", "character", "--s", "2", "--dim", "50",
@@ -301,6 +312,12 @@ class TestGLMCommand:
         assert default["results"] == explicit["results"]
         assert default["config"]["s"] == 1
 
+    def test_value_at_dim(self, capsys):
+        # 3 + 6/M^2 at M = 1
+        code, out, _ = run(capsys, "glm", "--K", "4", "--s", "2", "--dim", "1")
+        assert code == 0
+        assert payload(out)["results"]["value_at_dim"] == 9.0
+
     def test_format_flag_rejected(self, capsys):
         code, out, err = run(capsys, "glm", "--K", "6", "--format", "csv")
         assert code == 1
@@ -315,6 +332,13 @@ class TestClassicalCommand:
         weights = {tuple(a["coeffs"]): a["weight"] for a in results["atoms"]}
         assert weights[(0,)] == pytest.approx(0.4657596075936404, abs=1e-10)
         assert results["real_moments"][1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_pushforward(self, capsys):
+        code, out, _ = run(capsys, "classical", "--s", "3", "--t", "1/2", "--p-max", "12",
+                           "--pushforward")
+        assert code == 0
+        law = classical.power_pushforward(classical.bessel_law(3, Fraction(1, 2), p_max=12), 3)
+        assert payload(out)["results"] == payload(json.dumps(law.as_dict(), default=cli._encode))
 
     def test_p_max_below_one_is_usage_error(self, capsys):
         code, out, err = run(capsys, "classical", "--s", "2", "--t", "1", "--p-max", "0")
@@ -595,6 +619,15 @@ class TestArgumentErrors:
             ["mc", "--model", "product", "--s", "2", "--word", "u*", "--dim", "8", "--trials", "3"],
             ["mc", "--model", "dw", "--s", "2", "--word", "u*", "--dim", "8", "--trials", "3"],
             ["mc", "--model", "character", "--s", "1", "--word", "u*", "--power", "2"],
+            ["mc", "--model", "product", "--s", "2", "--k", "1", "--dim", "4", "--trials", "3",
+             "--t", "3"],  # a --t that the model does not read
+            ["mc", "--model", "dw", "--s", "2", "--dim", "4", "--trials", "3", "--t", "1/2"],
+            ["partitions", "--s", "2", "--k", "3", "--t", "5"],  # --t is read only with --word
+            ["partitions", "--s", "2"],  # neither --k nor --word
+            ["moments", "--s", "2", "--t", "1", "--order", "0"],
+            ["moments", "--s", "2", "--t", "1", "--order", "-5"],
+            ["probe", "--s-grid", "1:2:x", "--t-grid", "1:1:1"],
+            ["probe", "--s-grid", "1:2:0", "--t-grid", "1:1:1"],
         ],
     )
     def test_exit_one(self, capsys, argv):

@@ -383,6 +383,15 @@ class TestSupport:
         assert sup.K_plus == F(27, 4)
         assert sup.atom_mass == 0
 
+    def test_t_one_at_a_fractional_s(self):
+        # a non-integer s at t = 1 takes the float edge: K_+ = (s + 1)^(s + 1)/s^s
+        sup = support(F(3, 2), 1)
+        assert (sup.regime, sup.K_minus, sup.atom_mass) == ("t=1", 0, 0.0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = Decimal(25) / 6 * (Decimal(5) / 3).sqrt()  # 2.5^2.5/1.5^1.5
+            assert abs(Decimal(sup.K_plus) - exact) <= 4 * Decimal(math.ulp(float(exact)))
+
     def test_s_one_both_sides_of_one(self):
         for t in (0.25, 4.0):
             sup = support(1, t)

@@ -40,6 +40,7 @@ from freebessel.partitions import (
     enumerate_nc_s,
     fuss_catalan,
     join,
+    join_block_counts,
     star_moment,
 )
 
@@ -710,6 +711,19 @@ class TestExactWeingarten:
             for n in (4, 8, 64):
                 for m in (n // 2, n):
                     assert _gram_trace(half, n, m) == _gram_trace(table, n, m)
+
+    @pytest.mark.parametrize("s,text", [*DIM_WORDS.values(), (1, "uuuuuu"), (1, "uuuuuuu")])
+    def test_table_matches_pairwise_joins(self, s, text, monkeypatch):
+        # the |p join q| triangle weingarten_finite_n solves, against join(p, q) pair by pair
+        seen = []
+
+        def recording(parts):
+            seen.append(join_block_counts(parts))
+            return seen[-1]
+
+        monkeypatch.setattr(matrixlab, "join_block_counts", recording)
+        weingarten_finite_n(s, ColoredWord.from_string(text), 64, Fraction(1, 2))
+        assert seen == [[list(row[:i + 1]) for i, row in enumerate(join_table(s, text))]]
 
     def test_zero_pivot_is_singular(self):
         with pytest.raises(np.linalg.LinAlgError, match="singular Gram matrix"):

@@ -29,6 +29,7 @@ from freebessel.partitions import (
     is_noncrossing,
     join,
     join_block_count,
+    join_block_counts,
     star_moment,
 )
 from freebessel.series import _over_common_denominator
@@ -143,6 +144,26 @@ class TestIsNoncrossing:
     def test_interval_blocks(self):
         assert is_noncrossing(part([1, 2], [3, 4], [5, 6]))
 
+    def test_block_order_does_not_matter(self):
+        # blocks stored out of canonical order: [1, 3] and [2, 4] still cross
+        assert not is_noncrossing(SetPartition(4, ((3, 1), (2, 4))))
+        assert is_noncrossing(SetPartition(4, ((3, 2), (4, 1))))
+
+    def test_matches_brute_force_on_shuffled_partitions(self):
+        # every set partition of m <= 8 (5296), with blocks and points in shuffled order
+        rng = random.Random(1)
+        checked = 0
+        for m in range(9):
+            for blocks in all_set_partitions(m):
+                want = not any(a < x < b < y
+                               for one, two in itertools.permutations(blocks, 2)
+                               for a, b in itertools.combinations(sorted(one), 2)
+                               for x, y in itertools.combinations(sorted(two), 2))
+                shuffled = [rng.sample(b, len(b)) for b in rng.sample(blocks, len(blocks))]
+                assert is_noncrossing(SetPartition(m, tuple(map(tuple, shuffled)))) == want
+                checked += 1
+        assert checked == 5296
+
 
 class TestEnumeration:
     # counts by block-size divisibility class, rows k = 0..4
@@ -205,6 +226,16 @@ class TestEnumeration:
         pytest.param(lambda: freelaws.moments_via_series(2, 0, 4), id="moments_via_series-t-zero-2"),
         pytest.param(lambda: freelaws.moments_via_series(0.5, 0, 4),
                      id="moments_via_series-t-zero-half"),
+        pytest.param(lambda: freelaws.support(0, 1), id="support-s-zero-t-one"),
+        # a bare IndexError from an empty block, and plain ValueErrors, before
+        pytest.param(lambda: SetPartition.from_blocks([[1], []]), id="from_blocks-empty-block"),
+        pytest.param(lambda: ColoredWord((2,)), id="ColoredWord-sign"),
+        pytest.param(lambda: ColoredWord.from_string("ux"), id="from_string-letter"),
+        pytest.param(lambda: join(part([1, 2]), part([1], [2], [3])), id="join-sizes"),
+        pytest.param(lambda: join_block_count(part([1, 2]), part([1], [2], [3])),
+                     id="join_block_count-sizes"),
+        pytest.param(lambda: join_block_counts([part([1, 2]), part([1], [2], [3])]),
+                     id="join_block_counts-sizes"),
     ])
     def test_domain_error_is_an_argument_error(self, call):
         with pytest.raises(ArgumentError):
