@@ -99,23 +99,29 @@ def _half(m: int) -> int:
     return 1 << ((m - 1).bit_length() - 1)
 
 
-def _power(formed: dict[int, np.ndarray], p: int) -> np.ndarray:
-    """A^p = A^h A^(p-h), h = _half(p), kept in formed = {1: A, ...}.  Not a closure: one
-    that calls itself is a reference cycle, which keeps each trial's powers until gc runs."""
-    if p not in formed:
-        h = _half(p)
-        formed[p] = _power(formed, h) @ _power(formed, p - h)
-    return formed[p]
-
-
 def _trace_powers(A: np.ndarray, powers: Iterable[int]) -> dict[int, complex]:
-    """tr(A^m) = sum_ij (A^h)_ij (A^(m-h))_ji for each m > 1, h = _half(m).  The chain
-    depends on m alone, not on the other powers: [3, 6, 9] forms A^2, A^4 and A^8."""
+    """tr(A^m) = sum_ij (A^h)_ij (A^(m-h))_ji for each m > 1, h = _half(m), with A^p = A^h A^(p-h)
+    by the same split, so a chain depends on m alone: [3, 6, 9] forms A^2, A^4 and A^8.  Powers
+    form in increasing order, each dropped after its last use: [3, 6, 9] holds A and at most two."""
     import numpy as np
-    formed = {1: A}
-    return {m: complex(np.einsum("ij,ji->", _power(formed, h := _half(m)), _power(formed, m - h))
-                       if m > 1 else np.trace(A))
-            for m in set(powers)}
+    powers = set(powers)
+    # a step (at, traced, p) takes tr(A^p) at _half(p) or forms A^p at p, from A^h and A^(p-h)
+    steps, todo = set(), [(_half(m), True, m) for m in powers if m > 1]
+    while todo:
+        steps.add(step := todo.pop())
+        h = _half(p := step[2])
+        todo += [(q, False, q) for q in {h, p - h} - {1} if (q, False, q) not in steps]
+    steps = sorted(steps)
+    last = {q: i for i, (_, _, p) in enumerate(steps) for q in (_half(p), p - _half(p))}
+    formed, out = {1: A}, {m: complex(np.trace(A)) for m in powers & {1}}
+    for i, (_, traced, p) in enumerate(steps):
+        h = _half(p)
+        if traced:
+            out[p] = complex(np.einsum("ij,ji->", formed[h], formed[p - h]))
+        else:
+            formed[p] = formed[h] @ formed[p - h]
+        formed = {q: a for q, a in formed.items() if last[q] > i}  # drop what no step reads
+    return out
 
 
 def product_model_mc(s: int, N: int, k: int, trials: int, seed: int) -> MCReport:

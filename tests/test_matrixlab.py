@@ -4,6 +4,7 @@ import functools
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -314,6 +315,14 @@ class TestProductModel:
         for k in range(1, 7):
             assert multi[k] == product_model_mc(3, 8, k, 3, 7)
 
+    def test_pinned_bits(self):
+        # estimate and std_error as float.hex: a reordered draw or product changes the last bits
+        want = {1: ("0x1.12a074fd252a9p+0", "0x1.3eacff7235673p-5"),
+                2: ("0x1.9029129421f49p+1", "0x1.85beca0ef84aep-2"),
+                3: ("0x1.6359e1510a734p+3", "0x1.15e44eccc9837p+1")}
+        got = product_model_mc_multi(2, 8, [1, 2, 3], 3, 7)
+        assert {k: (r.estimate.hex(), r.std_error.hex()) for k, r in got.items()} == want
+
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: dw_model_mc_multi(2, 8, [2], 0, 1), id="dw trials 0"),
@@ -390,6 +399,39 @@ class TestDWModel:
         d = np.repeat(np.exp(2j * np.pi / s) ** np.arange(s), N)
         want = d[:, None] * (G.conj().T @ G)
         assert _dw_matrix(s, N, _trial_rng(19, s)).tobytes() == want.tobytes()
+
+    # estimate and std_error as float.hex of dw_model_mc_multi(s, 8, [s, 2s, 3s], 3, 7)
+    PINNED = {
+        1: {1: ("0x1.14380cecca0a7p+0", "0x1.4ced13d446e06p-7"),
+            2: ("0x1.32f8293efa414p+1", "0x1.8c9bb222852f9p-3"),
+            3: ("0x1.a46cd6c620a6dp+2", "0x1.13a1e5b6af086p+0")},
+        2: {2: ("0x1.f07f7093638b3p-1", "0x1.bb119a63a96a8p-5"),
+            4: ("0x1.3f7e10894ac63p+1", "0x1.aeff4b90fbf98p-2"),
+            6: ("0x1.08e8ec217ab0fp+3", "0x1.3e68d10ac5c3fp+1")},
+        3: {3: ("0x1.dcaa77563a119p-1", "0x1.bd9b7d8376d29p-4"),
+            6: ("0x1.d87616529f707p+1", "0x1.754ca93713ad3p-1"),
+            9: ("0x1.35a4d9ffc0803p+4", "0x1.31c1ef9c419aap+2")},
+    }
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_pinned_bits(self, s):
+        # the bit tests above compare one version with itself; these pin the draws and products
+        got = dw_model_mc_multi(s, 8, [s, 2 * s, 3 * s], 3, 7)
+        assert {m: (r.estimate.hex(), r.std_error.hex()) for m, r in got.items()} == self.PINNED[s]
+
+    @pytest.mark.parametrize("s,N,powers", [(3, 64, [3, 6, 9]), (2, 64, [4]), (1, 128, [1, 2, 3])])
+    @pytest.mark.parametrize("trials", [1, 4])
+    def test_working_set(self, s, N, powers, trials):
+        # numpy reports its data to tracemalloc, so the traced peak counts M x M arrays however
+        # the heap lays them out: W = G^H G needs three, and no trial may hold more
+        dw_model_mc_multi(s, N, powers, 1, 1)  # imports and first-call allocations
+        tracemalloc.start()
+        try:
+            dw_model_mc_multi(s, N, powers, trials, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * (s * N) ** 2 * 16
 
 
 class TestGLMExact:

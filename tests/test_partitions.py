@@ -128,6 +128,21 @@ def part(*blocks):
     return SetPartition.from_blocks(blocks)
 
 
+class TestSetPartition:
+    def test_built_directly_equals_from_blocks(self):
+        # equality and hash compare the stored blocks, so every way in must store one form
+        direct = SetPartition(4, ((4, 2), (3,), (1,)))
+        assert direct == part([1], [2, 4], [3])
+        assert hash(direct) == hash(part([1], [2, 4], [3]))
+        assert direct.blocks == ((1,), (2, 4), (3,))
+        assert SetPartition(2, ((2,), (1,))) == SetPartition.from_blocks([[1], [2]])
+
+    def test_enumerations_are_canonical(self):
+        # the enumerations skip the check: rebuilding each through it must change nothing
+        for p in enumerate_nc_s(1, 7) + enumerate_balanced(2, ColoredWord.from_string("uu**uu**")):
+            assert SetPartition(p.ground_size, p.blocks).blocks == p.blocks
+
+
 class TestIsNoncrossing:
     def test_minimal_crossing(self):
         assert not is_noncrossing(part([1, 3], [2, 4]))
@@ -236,6 +251,11 @@ class TestEnumeration:
                      id="join_block_count-sizes"),
         pytest.param(lambda: join_block_counts([part([1, 2]), part([1], [2], [3])]),
                      id="join_block_counts-sizes"),
+        # a SetPartition built directly was stored as given, unchecked
+        pytest.param(lambda: SetPartition(3, ((1,),)), id="SetPartition-missing-points"),
+        pytest.param(lambda: SetPartition(2, ((1, 2), ())), id="SetPartition-empty-block"),
+        pytest.param(lambda: SetPartition(2, ((1, 2), (2,))), id="SetPartition-overlap"),
+        pytest.param(lambda: SetPartition(-1, ()), id="SetPartition-negative-size"),
     ])
     def test_domain_error_is_an_argument_error(self, call):
         with pytest.raises(ArgumentError):
@@ -457,6 +477,7 @@ class TestCountTable:
             raise AssertionError("a partition was built")
 
         monkeypatch.setattr(partitions, "SetPartition", fail)
+        monkeypatch.setattr(partitions, "_canonical", fail)  # the enumerations build through it
         assert cli.main(argv) == 0
         assert shown in capsys.readouterr().out
 
@@ -492,7 +513,7 @@ class TestCollectorPause:
             seen.append(gc.isenabled())
             return SetPartition(m, blocks)
 
-        monkeypatch.setattr(partitions, "SetPartition", record)
+        monkeypatch.setattr(partitions, "_canonical", record)
         assert len(enumerate_nc_s(1, 4)) == 14
         assert seen and not any(seen)
         assert gc.isenabled()
@@ -504,7 +525,7 @@ class TestCollectorPause:
         def fail(m, blocks):
             raise RuntimeError("no partition")
 
-        monkeypatch.setattr(partitions, "SetPartition", fail)
+        monkeypatch.setattr(partitions, "_canonical", fail)
         with pytest.raises(RuntimeError):
             enumerate_nc_s(1, 4)
         assert gc.isenabled() is on
