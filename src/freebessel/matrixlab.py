@@ -59,10 +59,14 @@ class MCReport:
 
 
 def _report(statistic: str, samples: Sequence[float], dim: int, seed: int) -> MCReport:
+    """Mean and standard error, taken on the samples scaled by a power of two into [-1, 1] and
+    scaled back: exact where nothing under- or overflows, and finite for samples near 1e200."""
     import numpy as np
     arr = np.asarray(samples, dtype=float)
-    est = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else None
+    e = math.frexp(float(np.abs(arr).max()))[1]
+    arr = np.ldexp(arr, -e)
+    est = math.ldexp(float(arr.mean()), e)
+    se = math.ldexp(float(arr.std(ddof=1) / math.sqrt(len(arr))), e) if len(arr) > 1 else None
     return MCReport(statistic, est, se, len(arr), dim, seed)
 
 
@@ -80,18 +84,24 @@ def _check_character_args(n: int, t: Fraction | float) -> int:
     return math.floor(Fraction(t) * n)
 
 
+def _ginibre(rows: int, cols: int, variance: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """sample_ginibre's draws stored in dtype: a complex64 result holds exactly the values of
+    sample_ginibre(...).astype(complex64), with no complex128 array in between."""
+    import numpy as np
+    if variance <= 0:
+        raise ValueError("variance must be positive")
+    g = np.empty((rows, cols), dtype=dtype)
+    c = math.sqrt(variance / 2)
+    np.multiply(rng.standard_normal((rows, cols)), c, out=g.real)
+    np.multiply(rng.standard_normal((rows, cols)), c, out=g.imag)
+    return g
+
+
 def sample_ginibre(
     rows: int, cols: int, variance: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Complex Gaussian matrix with i.i.d. entries, E|g|^2 = variance."""
-    import numpy as np
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    g = np.empty((rows, cols), dtype=complex)
-    g.real = rng.standard_normal((rows, cols))
-    g.imag = rng.standard_normal((rows, cols))
-    g *= math.sqrt(variance / 2)
-    return g
+    return _ginibre(rows, cols, variance, rng, complex)
 
 
 def _half(m: int) -> int:
@@ -99,10 +109,33 @@ def _half(m: int) -> int:
     return 1 << ((m - 1).bit_length() - 1)
 
 
-def _trace_powers(A: np.ndarray, powers: Iterable[int]) -> dict[int, complex]:
+def _renormalised(B: np.ndarray, e: int) -> tuple[np.ndarray, int]:
+    """(2^-x B, e + x), in place, for the 2^x that brings B's largest real or imaginary part
+    into [1/2, 1).  A power of two rounds nothing while the entries stay normal."""
+    import numpy as np
+    v = B.view(B.real.dtype)
+    x = math.frexp(max(v.max(), -v.min()))[1]
+    np.ldexp(v, -x, out=v)
+    return B, e + x
+
+
+def _ldexp_trace(tr: complex, e: int, p: int) -> complex:
+    """2^e tr, the trace of A^p, or OverflowError past the float64 range."""
+    try:
+        return complex(math.ldexp(tr.real, e), math.ldexp(tr.imag, e))
+    except OverflowError:
+        raise OverflowError(f"tr(A^{p}) is beyond the float64 range") from None
+
+
+def _trace_powers(A: np.ndarray, powers: Iterable[int], e: int = 0) -> dict[int, complex]:
     """tr(A^m) = sum_ij (A^h)_ij (A^(m-h))_ji for each m > 1, h = _half(m), with A^p = A^h A^(p-h)
     by the same split, so a chain depends on m alone: [3, 6, 9] forms A^2, A^4 and A^8.  Powers
-    form in increasing order, each dropped after its last use: [3, 6, 9] holds A and at most two."""
+    form in increasing order, each dropped after its last use: [3, 6, 9] holds A and at most two.
+
+    The traces are of the powers of 2^e A.  A formed power is held as (B, f), 2^f B, with B
+    _renormalised after each product in A's dtype: a complex64 chain cannot overflow, and while
+    its entries stay normal it equals the unscaled chain bit for bit.  Traces accumulate in
+    complex128 and are scaled back in float64 (_ldexp_trace)."""
     import numpy as np
     powers = set(powers)
     # a step (at, traced, p) takes tr(A^p) at _half(p) or forms A^p at p, from A^h and A^(p-h)
@@ -113,15 +146,42 @@ def _trace_powers(A: np.ndarray, powers: Iterable[int]) -> dict[int, complex]:
         todo += [(q, False, q) for q in {h, p - h} - {1} if (q, False, q) not in steps]
     steps = sorted(steps)
     last = {q: i for i, (_, _, p) in enumerate(steps) for q in (_half(p), p - _half(p))}
-    formed, out = {1: A}, {m: complex(np.trace(A)) for m in powers & {1}}
+    formed = {1: (A, e)}
+    out = {m: _ldexp_trace(complex(np.trace(A, dtype=complex)), e, 1) for m in powers & {1}}
     for i, (_, traced, p) in enumerate(steps):
-        h = _half(p)
+        (B, f), (C, g) = formed[_half(p)], formed[p - _half(p)]
         if traced:
-            out[p] = complex(np.einsum("ij,ji->", formed[h], formed[p - h]))
+            out[p] = _ldexp_trace(complex(np.einsum("ij,ji->", B, C, dtype=complex)), f + g, p)
         else:
-            formed[p] = formed[h] @ formed[p - h]
+            formed[p] = _renormalised(B @ C, f + g)
         formed = {q: a for q, a in formed.items() if last[q] > i}  # drop what no step reads
     return out
+
+
+def _model_mc(
+    label: str, draw, dim: int, s: int, N: int, powers: Sequence[int], trials: int, seed: int
+) -> dict[int, MCReport]:
+    """Both matrix models' trial loop: tr((2^e A)^m)/dim for the dim x dim (A, e) = draw(s, N, rng),
+    one draw per trial shared by the powers, reported as tr((label)^m)."""
+    _check_mc_args(s, N, trials, powers)
+    samples: dict[int, list[float]] = {m: [] for m in powers}
+    for i in range(trials):
+        A, e = draw(s, N, _trial_rng(seed, i))
+        traces = _trace_powers(A, samples, e)
+        del A  # the next draw starts from no M x M array
+        for m, vals in samples.items():
+            vals.append(traces[m].real / dim)
+    return {m: _report(f"tr(({label})^{m}), s={s}", v, N, seed) for m, v in samples.items()}
+
+
+def _product_wishart(s: int, N: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """(A, e), 2^e A = M M* for M a product of s independent N x N Ginibre matrices of variance
+    1/N, in complex64.  M is _renormalised after each factor: long products shrink."""
+    import numpy as np
+    M, e = _ginibre(N, N, 1.0 / N, rng, np.complex64), 0
+    for _ in range(s - 1):
+        M, e = _renormalised(M @ _ginibre(N, N, 1.0 / N, rng, np.complex64), e)
+    return M @ M.conj().T, 2 * e
 
 
 def product_model_mc(s: int, N: int, k: int, trials: int, seed: int) -> MCReport:
@@ -136,27 +196,16 @@ def product_model_mc_multi(
 
     Traces come from matrix products, never from an eigendecomposition.
     """
-    _check_mc_args(s, N, trials, powers)
-    samples: dict[int, list[float]] = {k: [] for k in powers}
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        M = sample_ginibre(N, N, 1.0 / N, rng)
-        for _ in range(s - 1):
-            M = M @ sample_ginibre(N, N, 1.0 / N, rng)
-        traces = _trace_powers(M @ M.conj().T, samples)
-        for k, vals in samples.items():
-            vals.append(traces[k].real / N)
-    return {k: _report(f"tr((MM*)^{k}), s={s}", v, N, seed) for k, v in samples.items()}
+    return _model_mc("MM*", _product_wishart, N, s, N, powers, trials, seed)
 
 
 def _dw_matrix(s: int, N: int, rng: np.random.Generator) -> np.ndarray:
-    """D W for a W(sN, sN, I/(sN)) Wishart W and the s-roots-of-unity diagonal D."""
+    """D W for a W(sN, sN, I/(sN)) Wishart W and the s-roots-of-unity diagonal D, complex64."""
     import numpy as np
     M = s * N
-    G = sample_ginibre(M, M, 1.0 / M, rng)
+    G = _ginibre(M, M, 1.0 / M, rng, np.complex64)
     W = G.conj().T @ G
-    w = np.exp(2j * np.pi / s)
-    d = np.repeat(w ** np.arange(s), N)
+    d = np.repeat(np.exp(2j * np.pi / s) ** np.arange(s), N).astype(np.complex64)
     return np.multiply(d[:, None], W, out=W)
 
 
@@ -176,13 +225,8 @@ def dw_model_mc_multi(
     s: int, N: int, powers: Sequence[int], trials: int, seed: int
 ) -> dict[int, MCReport]:
     """Like dw_model_mc but shares the per-trial matrices over several powers."""
-    _check_mc_args(s, N, trials, powers)
-    samples: dict[int, list[float]] = {m: [] for m in powers}
-    for i in range(trials):
-        traces = _trace_powers(_dw_matrix(s, N, _trial_rng(seed, i)), samples)
-        for m, vals in samples.items():
-            vals.append(traces[m].real / (s * N))
-    return {m: _report(f"tr((DW)^{m}), s={s}", v, N, seed) for m, v in samples.items()}
+    return _model_mc("DW", lambda s, N, rng: (_dw_matrix(s, N, rng), 0), s * N, s, N, powers,
+                     trials, seed)
 
 
 # --- exact expected traces from hook characters ----------------------------

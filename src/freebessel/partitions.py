@@ -42,7 +42,7 @@ def _as_float(name: str, value) -> float:
 
 def _check_count(name: str, value, floor: int) -> None:
     """Refuse a count or an order that is not an integer at or above floor."""
-    if not (isinstance(value, Integral) and value >= floor):
+    if not ((type(value) is int or isinstance(value, Integral)) and value >= floor):
         raise ArgumentError(f"{name} must be >= {floor} and an integer")
 
 
@@ -58,11 +58,23 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(tuple(sorted(b)) for b in self.blocks))  # disjoint: by minimum
-        m = len(elements := sorted(x for b in canon for x in b))
-        if not all(canon) or m != self.ground_size or elements != list(range(1, m + 1)):
+        _check_count("ground_size", m := self.ground_size, 0)
+        # one pass: point x sets bit x, and the blocks are canonical already when each ascends
+        # from above the last one's least point.  m points in all with bits 1..m partition {1..m}
+        blocks, seen, count, low, ordered = tuple(map(tuple, self.blocks)), 0, 0, 0, True
+        try:
+            for b in blocks:
+                count, prev, low = count + len(b), low, b[0]  # IndexError: an empty block
+                for x in b:
+                    ordered, prev = ordered and x > prev, x
+                    seen |= 1 << x
+        except (IndexError, TypeError, ValueError):  # or a point that is not an integer >= 0
+            seen = -1
+        if count != m or seen != (2 << m) - 2:
             raise ArgumentError("blocks must be nonempty and partition {1..m}")
-        object.__setattr__(self, "blocks", canon)
+        if not ordered:  # disjoint blocks sort by their least points
+            blocks = tuple(sorted(map(tuple, map(sorted, blocks))))
+        object.__setattr__(self, "blocks", blocks)
 
     @staticmethod
     def from_blocks(blocks: Sequence[Sequence[int]]) -> "SetPartition":

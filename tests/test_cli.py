@@ -285,6 +285,22 @@ class TestMCCommand:
         default.pop("wall_time_s"), explicit.pop("wall_time_s")
         assert default == explicit
 
+    @pytest.mark.parametrize("k", ["60", "100", "150"])
+    def test_high_power_is_answered(self, capsys, k):
+        # tr (DW)^(3k) near 1e63, 1e107 and 1e163: past complex64's range, and at k = 150 the
+        # squares of the samples pass float64's
+        code, out, err = run(capsys, "mc", "--model", "dw", "--s", "3", "--k", k, "--dim", "4",
+                             "--trials", "3")
+        assert (code, err) == (0, "")
+        results = payload(out)["results"]
+        assert math.isfinite(results["estimate"]) and math.isfinite(results["std_error"])
+
+    def test_trace_past_float64_is_numeric_failure(self, capsys):
+        code, out, err = run(capsys, "mc", "--model", "dw", "--s", "3", "--k", "300", "--dim",
+                             "4", "--trials", "3")
+        assert (code, out) == (2, "")
+        assert "numeric failure: tr(A^900) is beyond the float64 range" in err
+
     def test_character_needs_word(self, capsys):
         code, _, err = run(
             capsys, "mc", "--model", "character", "--s", "2", "--dim", "50",
@@ -739,9 +755,9 @@ class TestRecordedPayloads:
         })
 
     @pytest.mark.parametrize("model, k, statistic, estimate, std_error", [
-        ("dw", "1", "tr((DW)^2), s=2", 0.9583363369560199, 0.16960190139428308),
-        ("product", "2", "tr((MM*)^2), s=2", 2.3104622398855486, 0.4753999423858734),
-    ])
+        ("dw", "1", "tr((DW)^2), s=2", 0.9583364255844797, 0.16960188796721948),
+        ("product", "2", "tr((MM*)^2), s=2", 2.31046221813496, 0.47539989623597273),
+    ], ids=["dw", "product"])
     def test_mc(self, capsys, model, k, statistic, estimate, std_error):
         code, out, _ = run(
             capsys, "mc", "--model", model, "--s", "2", "--k", k, "--dim", "4",

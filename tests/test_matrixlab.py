@@ -18,6 +18,8 @@ from freebessel.matrixlab import (
     _check_character_args,
     _dw_matrix,
     _gram_trace,
+    _half,
+    _product_wishart,
     _report,
     _trace_powers,
     _trial_rng,
@@ -199,6 +201,12 @@ class TestSeeding:
         data = rep.as_dict()
         assert set(data) == {"statistic", "estimate", "std_error", "trials", "N", "seed"}
 
+    def test_report_of_samples_near_1e200(self):
+        # finite samples whose squares pass the float64 range: mean 2e200/3, std sqrt(19/3) 1e200
+        rep = _report("x", [1e200, -2e200, 3e200], 4, 0)
+        assert rep.estimate == pytest.approx(2e200 / 3, rel=1e-15)
+        assert rep.std_error == pytest.approx(math.sqrt(19 / 3) * 1e200 / math.sqrt(3), rel=1e-15)
+
 
 class TestGinibre:
     def test_entry_variance(self):
@@ -255,6 +263,39 @@ def power_loop_traces(A: np.ndarray, m_max: int) -> list[complex]:
             P = P @ A
         out.append(complex(P.trace()))
     return out
+
+
+def chain_traces(A: np.ndarray, powers) -> dict[int, complex]:
+    """tr(A^m) by _trace_powers' split at _half(m), with no renormalisation, in A's dtype and
+    with traces accumulated in complex128: on complex128 input, the chain before complex64."""
+
+    @functools.cache
+    def power(p):
+        return A if p == 1 else power(_half(p)) @ power(p - _half(p))
+
+    return {m: complex(np.trace(A, dtype=complex) if m == 1 else
+                       np.einsum("ij,ji->", power(_half(m)), power(m - _half(m)), dtype=complex))
+            for m in powers}
+
+
+def complex128_samples(model: str, s: int, N: int, powers, trials: int, seed: int):
+    """The matrix models' samples from the same draws as the library's, with the products in
+    complex128: the reference that bounds the move to complex64 products."""
+    samples = {m: [] for m in powers}
+    for i in range(trials):
+        rng = _trial_rng(seed, i)
+        if model == "dw":
+            G = sample_ginibre(s * N, s * N, 1.0 / (s * N), rng)
+            d = np.repeat(np.exp(2j * np.pi / s) ** np.arange(s), N)
+            A, norm = d[:, None] * (G.conj().T @ G), s * N
+        else:
+            M = sample_ginibre(N, N, 1.0 / N, rng)
+            for _ in range(s - 1):
+                M = M @ sample_ginibre(N, N, 1.0 / N, rng)
+            A, norm = M @ M.conj().T, N
+        for m, tr in chain_traces(A, powers).items():
+            samples[m].append(tr.real / norm)
+    return samples
 
 
 class TestTracePowers:
@@ -317,9 +358,9 @@ class TestProductModel:
 
     def test_pinned_bits(self):
         # estimate and std_error as float.hex: a reordered draw or product changes the last bits
-        want = {1: ("0x1.12a074fd252a9p+0", "0x1.3eacff7235673p-5"),
-                2: ("0x1.9029129421f49p+1", "0x1.85beca0ef84aep-2"),
-                3: ("0x1.6359e1510a734p+3", "0x1.15e44eccc9837p+1")}
+        want = {1: ("0x1.12a0750555555p+0", "0x1.3ead02c262d33p-5"),
+                2: ("0x1.90291379c624dp+1", "0x1.85bed10848552p-2"),
+                3: ("0x1.6359e2ee8fdffp+3", "0x1.15e4544ed871dp+1")}
         got = product_model_mc_multi(2, 8, [1, 2, 3], 3, 7)
         assert {k: (r.estimate.hex(), r.std_error.hex()) for k, r in got.items()} == want
 
@@ -372,9 +413,10 @@ class TestDWModel:
         samples = []
         for i in range(trials):
             DW = _dw_matrix(s, N, _trial_rng(seed, i))
-            loop = power_loop_traces(DW, m)[-1].real / (s * N)
+            wide = DW.astype(complex)  # the 1e-12 bound is for complex128 loops and chains
+            loop = power_loop_traces(wide, m)[-1].real / (s * N)
+            assert abs(_trace_powers(wide, [m])[m].real / (s * N) - loop) <= 1e-12
             samples.append(_trace_powers(DW, [m])[m].real / (s * N))
-            assert abs(samples[-1] - loop) <= 1e-12
         rep = dw_model_mc(s, N, k=0, trials=trials, seed=seed, power=m)
         assert rep.estimate == float(np.mean(samples))
         assert rep.std_error == float(np.std(samples, ddof=1) / math.sqrt(trials))
@@ -395,22 +437,22 @@ class TestDWModel:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_dw_matrix_bit_equal_to_scaled_wishart(self, s):
         N = 5
-        G = sample_ginibre(s * N, s * N, 1.0 / (s * N), _trial_rng(19, s))
-        d = np.repeat(np.exp(2j * np.pi / s) ** np.arange(s), N)
+        G = sample_ginibre(s * N, s * N, 1.0 / (s * N), _trial_rng(19, s)).astype(np.complex64)
+        d = np.repeat(np.exp(2j * np.pi / s) ** np.arange(s), N).astype(np.complex64)
         want = d[:, None] * (G.conj().T @ G)
         assert _dw_matrix(s, N, _trial_rng(19, s)).tobytes() == want.tobytes()
 
     # estimate and std_error as float.hex of dw_model_mc_multi(s, 8, [s, 2s, 3s], 3, 7)
     PINNED = {
-        1: {1: ("0x1.14380cecca0a7p+0", "0x1.4ced13d446e06p-7"),
-            2: ("0x1.32f8293efa414p+1", "0x1.8c9bb222852f9p-3"),
-            3: ("0x1.a46cd6c620a6dp+2", "0x1.13a1e5b6af086p+0")},
-        2: {2: ("0x1.f07f7093638b3p-1", "0x1.bb119a63a96a8p-5"),
-            4: ("0x1.3f7e10894ac63p+1", "0x1.aeff4b90fbf98p-2"),
-            6: ("0x1.08e8ec217ab0fp+3", "0x1.3e68d10ac5c3fp+1")},
-        3: {3: ("0x1.dcaa77563a119p-1", "0x1.bd9b7d8376d29p-4"),
-            6: ("0x1.d87616529f707p+1", "0x1.754ca93713ad3p-1"),
-            9: ("0x1.35a4d9ffc0803p+4", "0x1.31c1ef9c419aap+2")},
+        1: {1: ("0x1.14380c8aaaaabp+0", "0x1.4ced2a41e27f9p-7"),
+            2: ("0x1.32f828a15e012p+1", "0x1.8c9bb672cba45p-3"),
+            3: ("0x1.a46cd5f4067cdp+2", "0x1.13a1e7fc648abp+0")},
+        2: {2: ("0x1.f07f7045f1bc4p-1", "0x1.bb118f85487f6p-5"),
+            4: ("0x1.3f7e0fd34b343p+1", "0x1.aeff472765512p-2"),
+            6: ("0x1.08e8eb68e083fp+3", "0x1.3e68cdf315e7ep+1")},
+        3: {3: ("0x1.dcaa764a0c2d8p-1", "0x1.bd9b8893e52c3p-4"),
+            6: ("0x1.d87613d5c185bp+1", "0x1.754cb198ae0f0p-1"),
+            9: ("0x1.35a4d78cdd6d3p+4", "0x1.31c1f78bd12d1p+2")},
     }
 
     @pytest.mark.parametrize("s", [1, 2, 3])
@@ -432,6 +474,62 @@ class TestDWModel:
         finally:
             tracemalloc.stop()
         assert peak <= 3.1 * (s * N) ** 2 * 16
+
+
+class TestComplex64Products:
+    """The models multiply in complex64 on the draws that complex128 products would use."""
+
+    @pytest.mark.parametrize("model", ["dw", "product"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    def test_same_draws_as_complex128(self, model, s, N):
+        powers = [s, 2 * s, 3 * s] if model == "dw" else [1, 2, 3]
+        run = dw_model_mc_multi if model == "dw" else product_model_mc_multi
+        got = run(s, N, powers, 3, 11)
+        for m, vals in complex128_samples(model, s, N, powers, 3, 11).items():
+            assert got[m].estimate == pytest.approx(np.mean(vals), rel=1e-5)
+
+    @pytest.mark.parametrize("model", ["dw", "product"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_scaled_chain_equals_unscaled(self, model, s):
+        # powers of two round nothing while the entries stay normal
+        rng = _trial_rng(23, s)
+        A = _dw_matrix(s, 16, rng) if model == "dw" else _product_wishart(s, 16, rng)[0]
+        assert A.dtype == np.complex64
+        powers = range(1, 13)
+        assert _trace_powers(A, powers) == chain_traces(A, powers)
+
+    @pytest.mark.parametrize("s", [20, 40, 80])
+    def test_product_draw_equals_unscaled(self, s):
+        # the product draw renormalises M after each factor, which moves no bit either; at N = 2
+        # a product of s factors shrinks, so the scale leaves 1
+        A, e = _product_wishart(s, 2, _trial_rng(24, s))
+        rng = _trial_rng(24, s)
+        M = sample_ginibre(2, 2, 1 / 2, rng).astype(np.complex64)
+        for _ in range(s - 1):
+            M = M @ sample_ginibre(2, 2, 1 / 2, rng).astype(np.complex64)
+        powers = range(1, 7)
+        assert e != 0
+        assert _trace_powers(A, powers, e) == chain_traces(M @ M.conj().T, powers)
+
+    def test_long_product_does_not_underflow(self):
+        # M of 600 factors 2 x 2 shrinks to about 1e-28, so M M* to about 1e-55; unscaled,
+        # complex64 rounds it to 0.  Bound: s N u, as for the high powers below
+        s, N = 600, 2
+        got = product_model_mc(s, N, 1, 3, 0)
+        want = np.mean(complex128_samples("product", s, N, [1], 3, 0)[1])
+        assert 0 < want < 1e-50
+        assert got.estimate == pytest.approx(want, rel=s * N * 2.0**-24, abs=0)
+
+    @pytest.mark.parametrize("k", [60, 100])
+    def test_high_powers_at_dim_4(self, k):
+        # tr (DW)^(3k) reaches 1e63 and 1e107: unscaled complex64 overflows past 3.4e38.  Bound:
+        # m M u, the first-order error of a chain of m products of length M = 12, u = 2^-24
+        m = 3 * k
+        got = dw_model_mc(3, 4, k, 3, 0)
+        want = np.mean(complex128_samples("dw", 3, 4, [m], 3, 0)[m])
+        assert abs(want) > 1e60
+        assert got.estimate == pytest.approx(want, rel=m * 12 * 2.0**-24)
 
 
 class TestGLMExact:

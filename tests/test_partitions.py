@@ -256,6 +256,8 @@ class TestEnumeration:
         pytest.param(lambda: SetPartition(2, ((1, 2), ())), id="SetPartition-empty-block"),
         pytest.param(lambda: SetPartition(2, ((1, 2), (2,))), id="SetPartition-overlap"),
         pytest.param(lambda: SetPartition(-1, ()), id="SetPartition-negative-size"),
+        pytest.param(lambda: SetPartition(2.0, ((1,), (2,))), id="SetPartition-float-size"),
+        pytest.param(lambda: SetPartition(2, ((1,), (2.0,))), id="SetPartition-float-point"),
     ])
     def test_domain_error_is_an_argument_error(self, call):
         with pytest.raises(ArgumentError):
