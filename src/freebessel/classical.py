@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Iterable
 
 from .partitions import (BESSEL_MAX_P, BESSEL_MAX_WORK, ArgumentError, EnumerationBoundError,
@@ -101,12 +101,7 @@ class CyclotomicInt:
     def power(self, n: int) -> "CyclotomicInt":
         if n < 0:
             raise ValueError("nonnegative powers only")
-        result = self if n else CyclotomicInt.integer(self.s, 1)
-        for bit in bin(n)[3:]:  # the bits below the top one, highest first
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return _power(self, n, CyclotomicInt.__mul__) if n else CyclotomicInt.integer(self.s, 1)
 
     def _check(self, other: "CyclotomicInt") -> None:
         if self.s != other.s:
@@ -114,6 +109,16 @@ class CyclotomicInt:
 
     def to_complex(self) -> complex:
         return sum(c * wk for c, wk in zip(self.coeffs, _root_powers(self.s)))
+
+
+def _power(x, n: int, mul):
+    """x^n for n >= 1 under an associative mul, by square-and-multiply from the highest bit."""
+    result = x
+    for bit in bin(n)[3:]:  # the bits below the top one
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -406,11 +411,7 @@ def dirac(s: int, atom: CyclotomicInt | int) -> DiscreteMeasure:
 def roots_of_unity_measure(s: int) -> DiscreteMeasure:
     """Uniform measure on the s-th roots of unity, as exact ring elements."""
     _check_count("s", s, 1)
-    atoms: dict[CyclotomicInt, float] = {}
-    for k in range(s):
-        key = CyclotomicInt.root_power(s, k)
-        atoms[key] = atoms.get(key, 0.0) + 1.0 / s
-    return DiscreteMeasure(s, atoms)
+    return DiscreteMeasure(s, {CyclotomicInt.root_power(s, k): 1.0 / s for k in range(s)})
 
 
 def poisson_limit(s: int, n: int) -> DiscreteMeasure:
@@ -420,22 +421,9 @@ def poisson_limit(s: int, n: int) -> DiscreteMeasure:
     into the deficit to keep the atom map manageable for large n.
     """
     _check_count("n", n, 1)
-    rho = roots_of_unity_measure(s)
-    base_atoms = {CyclotomicInt.zero(s): 1.0 - 1.0 / n}
-    for atom, w in rho.atoms.items():
-        base_atoms[atom] = base_atoms.get(atom, 0.0) + w / n
-    base = DiscreteMeasure(s, base_atoms)
-    result: DiscreteMeasure | None = None
-    power = base
-    k = n
-    while k:
-        if k & 1:
-            result = power if result is None else convolve(result, power, prune=1e-15)
-        k >>= 1
-        if k:
-            power = convolve(power, power, prune=1e-15)
-    assert result is not None
-    return result
+    base = DiscreteMeasure(s, {CyclotomicInt.zero(s): 1.0 - 1.0 / n,
+                               **{a: w / n for a, w in roots_of_unity_measure(s).atoms.items()}})
+    return _power(base, n, partial(convolve, prune=1e-15))
 
 
 def total_variation(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:

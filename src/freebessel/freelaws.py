@@ -12,7 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import exp, inf, lcm, log1p, pi, sqrt
 
-from .partitions import ArgumentError, _as_float, _check_count, _fuss_narayana_ints
+from .partitions import (ArgumentError, _as_float, _as_fraction, _check_count,
+                         _fuss_narayana_ints)
 from .series import (
     MomentSequence,
     RationalSeries,
@@ -34,7 +35,7 @@ def moment(s, t, k: int) -> Fraction:
     meaningful for any real s > 0.
     """
     _check_count("k", k, 1)
-    return _moment_cached(Fraction(s), Fraction(t), k)
+    return _moment_cached(_as_fraction("s", s), _as_fraction("t", t), k)
 
 
 @lru_cache(maxsize=65536)
@@ -67,7 +68,7 @@ def moments_via_series(s, t, order: int) -> MomentSequence:
     S_Bernoulli(z) = (1+z)/(t+z): the same series.  Neither exists at t = 0.
     """
     _check_count("order", order, 1)
-    sf, tf = Fraction(s), Fraction(t)
+    sf, tf = _as_fraction("s", s), _as_fraction("t", t)
     if tf == 0:
         raise ArgumentError("t must be nonzero for the series route")
     if sf < 1 and tf > 1:
@@ -120,7 +121,7 @@ def support(s, t) -> SupportInfo:
     sf, tf = float(s), float(t)
     if not (sf > 0 and tf > 0):
         raise ArgumentError("support requires s > 0 and t > 0")
-    if tf == 1 and Fraction(s).denominator == 1:
+    if tf == 1 and _as_fraction("s", s).denominator == 1:
         n = int(s)
         return SupportInfo("t=1", Fraction(0), Fraction((n + 1) ** (n + 1), n**n), 0.0)
     b_1 = tf * (sf - 1) / 2

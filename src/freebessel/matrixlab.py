@@ -7,7 +7,6 @@ splitmix64(seed, i), and results are accumulated in trial order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -44,43 +43,37 @@ class MCReport:
     estimate: float
     std_error: float | None  # None when one trial leaves it undefined
     trials: int
-    dim: int
+    N: int
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "trials": self.trials,
-            "N": self.dim,
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
 
-def _report(statistic: str, samples: Sequence[float], dim: int, seed: int) -> MCReport:
-    """Mean and standard error, taken on the samples scaled by a power of two into [-1, 1] and
-    scaled back: exact where nothing under- or overflows, and finite for samples near 1e200."""
+def _report(statistic: str, samples: Sequence[float], N: int, seed: int) -> MCReport:
+    """Mean and standard error, taken on the samples _renormalised by a power of two and scaled
+    back: exact where nothing under- or overflows, and finite for samples near 1e200."""
     import numpy as np
-    arr = np.asarray(samples, dtype=float)
-    e = math.frexp(float(np.abs(arr).max()))[1]
-    arr = np.ldexp(arr, -e)
+    arr, e = _renormalised(np.array(samples, dtype=float), 0)
     est = math.ldexp(float(arr.mean()), e)
     se = math.ldexp(float(arr.std(ddof=1) / math.sqrt(len(arr))), e) if len(arr) > 1 else None
-    return MCReport(statistic, est, se, len(arr), dim, seed)
+    return MCReport(statistic, est, se, len(arr), N, seed)
 
 
-def _check_mc_args(s: int, dim: int, trials: int, powers: Sequence[int] = (1,)) -> None:
+def _check_mc_args(s: int, N: int, trials: int, powers: Sequence[int] = (1,)) -> None:
     """Refuse the inputs for which a Monte Carlo run gives no estimate."""
-    if not powers or min(s, dim, trials, *powers) < 1:
-        raise ArgumentError("s, N, trials and every power must be >= 1, with powers nonempty")
+    if not powers:
+        raise ArgumentError("powers must be nonempty, and every power must be >= 1")
+    for name, value in (("s", s), ("N", N), ("trials", trials), *(("power", m) for m in powers)):
+        _check_count(name, value, 1)
 
 
 def _check_character_args(n: int, t: Fraction | float) -> int:
     """The domain of the truncated character and the Weingarten sum: integer n >= 4, t in
     (0, 1].  Returns m = floor(t n), computed exactly from the value of t (Fraction or float)."""
-    if not isinstance(n, numbers.Integral) or n < 4 or not 0 < t <= 1:
-        raise ArgumentError(f"need an integer n >= 4 and t in (0, 1], got n = {n}, t = {t}")
+    _check_count("n", n, 4)
+    if not 0 < t <= 1:
+        raise ArgumentError(f"need t in (0, 1], got t = {t}")
     return math.floor(Fraction(t) * n)
 
 

@@ -40,6 +40,14 @@ def _as_float(name: str, value) -> float:
     raise ArgumentError(f"{name} must be a finite number within the double range")
 
 
+def _as_fraction(name: str, value) -> Fraction:
+    """Fraction(value) for a parameter computed on exactly, refused where it is inf or nan."""
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError):
+        raise ArgumentError(f"{name} must be a finite number") from None
+
+
 def _check_count(name: str, value, floor: int) -> None:
     """Refuse a count or an order that is not an integer at or above floor."""
     if not ((type(value) is int or isinstance(value, Integral)) and value >= floor):
@@ -216,7 +224,8 @@ def fuss_catalan(s, k: int) -> Fraction:
     defined for any rational s > 0.
     """
     _check_count("k", k, 0)
-    p, q = Fraction(s).numerator, Fraction(s).denominator  # in integers: s = p/q
+    s = _as_fraction("s", s)
+    p, q = s.numerator, s.denominator  # in integers: s = p/q
     return Fraction(prod(p * k + j * q for j in range(2, k + 1)), q ** max(k - 1, 0) * factorial(k))
 
 
@@ -240,7 +249,7 @@ def fuss_narayana_poly(s, k: int) -> tuple[Fraction, ...]:
     and sum_b c_b t^b is the k-th moment of the free Bessel law pi_st.
     """
     _check_count("k", k, 1)
-    s = Fraction(s)
+    s = _as_fraction("s", s)
     nums, d = _fuss_narayana_ints(s.numerator, s.denominator, k)
     return tuple(Fraction(n, d) for n in nums)
 
@@ -295,7 +304,7 @@ def star_moment(s: int, t, word: ColoredWord) -> Fraction:
 
     Horner's rule on the block counts, in exact rationals.
     """
-    tf, value = Fraction(t), Fraction(0)
+    tf, value = _as_fraction("t", t), Fraction(0)
     for c in reversed(count_balanced(s, word)):
         value = value * tf + c
     return value

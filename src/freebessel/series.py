@@ -13,7 +13,7 @@ from math import comb, lcm, perm
 from operator import mul
 from typing import Iterable
 
-from .partitions import _check_count, fuss_catalan
+from .partitions import _as_fraction, _check_count, fuss_catalan
 
 
 def _frac(x) -> Fraction:
@@ -302,7 +302,7 @@ def free_mult(mu: MomentSequence, nu: MomentSequence) -> MomentSequence:
 
 def boxtimes_power(m: MomentSequence, s) -> MomentSequence:
     """Fractional free multiplicative power: S^s by RationalSeries.pow."""
-    sf = _frac(s)
+    sf = _as_fraction("s", s)
     if sf == 1:
         return m
     if sf == 0:
@@ -314,7 +314,7 @@ def boxtimes_power(m: MomentSequence, s) -> MomentSequence:
 
 def boxplus_power(m: MomentSequence, t) -> MomentSequence:
     """Fractional free additive power: free cumulants scale by t."""
-    tf = _frac(t)
+    tf = _as_fraction("t", t)
     kappa = free_cumulants(m)
     return moments_from_free_cumulants(
         CumulantSequence("free", tuple(tf * k for k in kappa.cumulants))
@@ -342,10 +342,10 @@ def catalan_moments(order: int) -> MomentSequence:
 def free_poisson_moments(t, order: int) -> MomentSequence:
     """Moments of the free Poisson law of parameter t (all free cumulants t)."""
     _check_count("order", order, 0)
-    return moments_from_free_cumulants(CumulantSequence("free", (_frac(t),) * order))
+    return moments_from_free_cumulants(CumulantSequence("free", (_as_fraction("t", t),) * order))
 
 
 def bernoulli_moments(t, order: int) -> MomentSequence:
     """Moments of (1-t) delta_0 + t delta_1: all equal to t."""
     _check_count("order", order, 0)
-    return MomentSequence.from_values([t] * order)
+    return MomentSequence.from_values([_as_fraction("t", t)] * order)

@@ -754,7 +754,7 @@ class TestQuadrature:
         for t in (1e-309, 1e-320, 5e-324):
             with pytest.raises(ValueError, match="quadrature mass"):
                 quadrature_moments(s, t, 0)
-        assert quadrature_moments(s, 2e-308, 0)[0] == pytest.approx(2e-308, rel=1e-5)
+        assert quadrature_moments(s, 2e-308, 0)[0] == pytest.approx(2e-308, rel=1e-5, abs=0)
 
 
 class TestDensityGrid:

@@ -383,6 +383,20 @@ class TestProductModel:
                  id="character trials 0"),
     pytest.param(lambda: hns_character_mc(0, 8, 0.5, 3, 1, ColoredWord.from_string("u*")),
                  id="character s 0"),
+    # a count that is not an integer: a TypeError or an AttributeError, or an estimate, before
+    pytest.param(lambda: dw_model_mc_multi(2.5, 4, [2], 1, 0), id="dw float s"),
+    pytest.param(lambda: dw_model_mc_multi(2, 4.0, [2], 1, 0), id="dw float N"),
+    pytest.param(lambda: dw_model_mc_multi(2, 4, [2], 1.0, 0), id="dw float trials"),
+    pytest.param(lambda: dw_model_mc_multi(2, 4, [2.5], 1, 0), id="dw float power"),
+    pytest.param(lambda: dw_model_mc(2, 4, 1, 1, 0, power=2.5), id="dw single float power"),
+    pytest.param(lambda: product_model_mc_multi(2.5, 4, [2], 1, 0), id="product float s"),
+    pytest.param(lambda: product_model_mc_multi(2, 4.0, [2], 1, 0), id="product float N"),
+    pytest.param(lambda: product_model_mc_multi(2, 4, [2], 1.0, 0), id="product float trials"),
+    pytest.param(lambda: product_model_mc_multi(2, 4, [2.5], 1, 0), id="product float power"),
+    pytest.param(lambda: hns_character_mc(2.5, 8, 0.5, 2, 0, ColoredWord.from_string("u*")),
+                 id="character float s"),
+    pytest.param(lambda: hns_character_mc(2, 8.0, 0.5, 2, 0, ColoredWord.from_string("u*")),
+                 id="character float n"),
 ])
 def test_mc_refuses_inputs_without_an_estimate(call):
     with pytest.raises(ArgumentError, match="must be >= 1"):

@@ -5,7 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, inf, nan
 
 import pytest
 from hypothesis import given, settings
@@ -258,10 +258,31 @@ class TestEnumeration:
         pytest.param(lambda: SetPartition(-1, ()), id="SetPartition-negative-size"),
         pytest.param(lambda: SetPartition(2.0, ((1,), (2,))), id="SetPartition-float-size"),
         pytest.param(lambda: SetPartition(2, ((1,), (2.0,))), id="SetPartition-float-point"),
+        # an exact parameter that is inf or nan: an OverflowError or a bare ValueError before
+        pytest.param(lambda: freelaws.moment(2, inf, 3), id="moment-t-inf"),
+        pytest.param(lambda: freelaws.moment(nan, 0.5, 3), id="moment-s-nan"),
+        pytest.param(lambda: freelaws.moments_via_series(2, inf, 4), id="moments_via_series-t-inf"),
+        pytest.param(lambda: fuss_narayana_poly(inf, 2), id="fuss_narayana_poly-s-inf"),
+        pytest.param(lambda: star_moment(2, inf, ColoredWord.from_string("u*")),
+                     id="star_moment-t-inf"),
+        pytest.param(lambda: series.boxplus_power(series.catalan_moments(4), inf),
+                     id="boxplus_power-t-inf"),
+        pytest.param(lambda: fuss_catalan(nan, 2), id="fuss_catalan-s-nan"),
+        pytest.param(lambda: series.boxtimes_power(series.catalan_moments(4), nan),
+                     id="boxtimes_power-s-nan"),
+        pytest.param(lambda: series.free_poisson_moments(nan, 3), id="free_poisson_moments-t-nan"),
+        pytest.param(lambda: series.bernoulli_moments(nan, 3), id="bernoulli_moments-t-nan"),
+        pytest.param(lambda: freelaws.support(inf, 1), id="support-s-inf-t-one"),
     ])
     def test_domain_error_is_an_argument_error(self, call):
         with pytest.raises(ArgumentError):
             call()
+
+    def test_non_finite_parameter_is_named(self):
+        with pytest.raises(ArgumentError, match="^t must be a finite number"):
+            freelaws.moment(2, inf, 3)
+        with pytest.raises(ArgumentError, match="^s must be a finite number"):
+            fuss_catalan(nan, 2)
 
     @pytest.mark.parametrize("m", range(9))
     def test_nc_is_all_noncrossing_set_partitions(self, m):
